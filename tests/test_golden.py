@@ -1,0 +1,61 @@
+"""Byte-exact stdout and exit codes of the CLI on the bundled documents.
+
+Each case runs one command on one ``data/`` document in-process and
+compares its stdout with ``golden/<document>.<command>.txt`` and its exit
+code with ``golden/exit_codes.json``.  After a change that is meant to alter
+an output, regenerate the files with ``PYTHONPATH=src python
+tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from secplex.cli import main
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DOCUMENTS = ("sphere", "sphere_subdivided", "cylinder")
+COMMANDS = {
+    "ss-page1": ["ss", "--page", "1"],
+    "ss-page2-json": ["ss", "--page", "2", "--json"],
+    "reeb-q0": ["reeb", "--q", "0"],
+    "reeb-q1": ["reeb", "--q", "1"],
+    "reeb-graph": ["reeb-graph"],
+    "barcode": ["barcode"],
+    "barcode-json": ["barcode", "--format", "json"],
+    "homology": ["homology"],
+    "sections": ["sections", "--heights", "0,1", "--q", "1"],
+    "sections-json": ["sections", "--heights", "0,1", "--q", "1", "--json"],
+    "diag-check": ["diag-check", "--max-degree", "1"],
+}
+CASES = [f"{doc}.{name}" for doc in DOCUMENTS for name in COMMANDS]
+
+
+def run(case: str) -> tuple[int, bytes]:
+    doc, name = case.split(".")
+    command, *flags = COMMANDS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, str(DATA / f"{doc}.json"), *flags])
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_output(case):
+    code, out = run(case)
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == exit_codes[case]
+    assert out == (GOLDEN / f"{case}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for case in CASES:
+        codes[case], out = run(case)
+        (GOLDEN / f"{case}.txt").write_bytes(out)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
