@@ -3,7 +3,8 @@
 Every command reads one JSON document (see :mod:`secplex.documents`),
 prints a deterministic report, and exits 0 on success, 1 on a domain
 error, 2 on a usage or parse error.  Output is byte-identical for
-identical inputs and flags regardless of ``--threads``.
+identical inputs and flags.  ``--threads`` is accepted for compatibility
+and has no effect: enumeration runs on one thread.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .sections import (
     DEFAULT_CAP,
     build_truncation,
     enumerate_sections,
+    face_rows,
     is_degenerate,
-    section_face,
     word_label,
 )
 from .spectral import SpectralSequence, convergence_check, double_complex
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads for enumeration (default: all cores)",
+        help="accepted for compatibility; has no effect",
     )
     common.add_argument(
         "--cap", type=int, default=DEFAULT_CAP,
@@ -168,16 +169,16 @@ def cmd_sections(args) -> int:
     if args.q < 0:
         raise InputFormatError("--q must be nonnegative")
     blocks = []
+    index: dict = {}  # rows of the previous block, where vertical faces land
     for q in range(args.q + 1):
         secs = [
             sec
             for sec in enumerate_sections(X, h, word, q, cap=args.cap)
             if not is_degenerate(X, sec, "v")
         ]
-        blocks.append((q, secs))
-    index = {
-        (q, sec): i for q, secs in blocks for i, sec in enumerate(secs)
-    }
+        faces = face_rows(X, secs, "v", index) if q else [[] for _ in secs]
+        index = {sec: i for i, sec in enumerate(secs)}
+        blocks.append((q, secs, faces))
     if args.json:
         doc = {
             "format": "sset-v1",
@@ -189,33 +190,24 @@ def cmd_sections(args) -> int:
                     "sections": [
                         {
                             "images": [X.label(ref) for ref in sec.images],
-                            "vertical_faces": [
-                                index.get((q - 1, section_face(X, sec, "v", i)))
-                                for i in range(q + 1)
-                            ]
-                            if q >= 1
-                            else [],
+                            "vertical_faces": rows,
                         }
-                        for sec in secs
+                        for sec, rows in zip(secs, faces)
                     ],
                 }
-                for q, secs in blocks
+                for q, secs, faces in blocks
             ],
         }
         print(json.dumps(doc, indent=2))
         return 0
     print(f"sections over word ({word_label(word)})")
-    for q, secs in blocks:
+    for q, secs, faces in blocks:
         print(f"q={q}: {len(secs)} sections")
-        for i, sec in enumerate(secs):
+        for i, (sec, rows) in enumerate(zip(secs, faces)):
             images = ", ".join(X.label(ref) for ref in sec.images)
             line = f"  #{i}: {images}"
             if q >= 1:
-                faces = [
-                    index.get((q - 1, section_face(X, sec, "v", j)))
-                    for j in range(q + 1)
-                ]
-                shown = ", ".join("deg" if f is None else f"#{f}" for f in faces)
+                shown = ", ".join("deg" if f is None else f"#{f}" for f in rows)
                 line += f"   vertical faces: {shown}"
             print(line)
     return 0
@@ -226,9 +218,7 @@ def cmd_reeb(args) -> int:
     if args.q < 0:
         raise InputFormatError("--q must be nonnegative")
     s = subdivision_number(h)
-    trunc = build_truncation(
-        X, h, degree=max(degree, s + args.q), cap=args.cap, threads=args.threads
-    )
+    trunc = build_truncation(X, h, degree=max(degree, s + args.q), cap=args.cap)
     rc = reeb_complex(trunc, field, args.q)
     print(f"Reeb complex in vertical degree {args.q} over GF({field.p})")
     for p in range(s + 1):
@@ -253,7 +243,7 @@ def cmd_reeb(args) -> int:
 
 def cmd_reeb_graph(args) -> int:
     X, h, _, _ = _load(args)
-    graph = reeb_graph(X, h, cap=args.cap, threads=args.threads)
+    graph = reeb_graph(X, h, cap=args.cap)
     sys.stdout.write(graph.to_dot())
     b0, b1 = graph.homology()
     print(f"// components: {b0}, independent cycles: {b1}")
@@ -263,9 +253,7 @@ def cmd_reeb_graph(args) -> int:
 def cmd_barcode(args) -> int:
     X, h, field, degree = _load(args)
     max_q = args.max_q if args.max_q is not None else max(degree - 1, 0)
-    trunc = build_truncation(
-        X, h, degree=max(degree, max_q + 1), cap=args.cap, threads=args.threads
-    )
+    trunc = build_truncation(X, h, degree=max(degree, max_q + 1), cap=args.cap)
     diagram = barcode_diagram(trunc, field, max_q=max_q)
     if args.format == "json":
         print(json.dumps(diagram.to_dict(), indent=2))
@@ -278,7 +266,7 @@ def cmd_ss(args) -> int:
     X, h, field, degree = _load(args)
     if args.page < 0:
         raise InputFormatError("--page must be nonnegative")
-    trunc = build_truncation(X, h, degree=degree, cap=args.cap, threads=args.threads)
+    trunc = build_truncation(X, h, degree=degree, cap=args.cap)
     dc = double_complex(trunc)
     ss = SpectralSequence(dc, field)
     page = ss.page(args.page)
@@ -346,9 +334,7 @@ def cmd_homology(args) -> int:
 
 def cmd_diag_check(args) -> int:
     X, h, field, degree = _load(args)
-    report = convergence_check(
-        X, h, field, degree=min(degree, 2), cap=args.cap, threads=args.threads
-    )
+    report = convergence_check(X, h, field, degree=min(degree, 2), cap=args.cap)
     for line in report.lines():
         print(line)
     print("PASS" if report.ok else "FAIL")

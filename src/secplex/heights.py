@@ -109,24 +109,9 @@ def is_subdivided(h: HeightFunction) -> bool:
     return not subdivision_violations(h)
 
 
-def subdivision_number(h: HeightFunction) -> int:
-    """Largest number of strict height steps inside one generator.
-
-    The maximum over nondegenerate generators of (number of distinct vertex
-    heights - 1); zero for a set with no generators.
-    """
-    best = 0
-    X = h.space
-    for d in range(X.top_dim + 1):
-        for gid in X.generators(d):
-            steps = len(set(h.vertex_heights(SimplexRef(gid)))) - 1
-            if steps > best:
-                best = steps
-    return best
-
-
-def subdivision_witness(h: HeightFunction) -> str | None:
-    """A generator achieving :func:`subdivision_number`, if any is positive."""
+def _widest_generator(h: HeightFunction) -> tuple[int, str | None]:
+    """The subdivision number and the first generator achieving it, if it
+    is positive."""
     best, witness = 0, None
     X = h.space
     for d in range(X.top_dim + 1):
@@ -134,7 +119,21 @@ def subdivision_witness(h: HeightFunction) -> str | None:
             steps = len(set(h.vertex_heights(SimplexRef(gid)))) - 1
             if steps > best:
                 best, witness = steps, X.gen_names[gid]
-    return witness
+    return best, witness
+
+
+def subdivision_number(h: HeightFunction) -> int:
+    """Largest number of strict height steps inside one generator.
+
+    The maximum over nondegenerate generators of (number of distinct vertex
+    heights - 1); zero for a set with no generators.
+    """
+    return _widest_generator(h)[0]
+
+
+def subdivision_witness(h: HeightFunction) -> str | None:
+    """A generator achieving :func:`subdivision_number`, if any is positive."""
+    return _widest_generator(h)[1]
 
 
 def fiber(h: HeightFunction, level) -> SimplicialSet:

@@ -278,6 +278,21 @@ def induced_map(
     return out
 
 
+def face_sum_matrix(rows: int, face_rows: list[list[int | None]]) -> np.ndarray:
+    """Integer matrix of an alternating face sum.
+
+    Column k gets (-1)^i at row ``face_rows[k][i]`` for every face i whose
+    row is not ``None``; a ``None`` marks a degenerate face, which
+    normalization drops.
+    """
+    M = np.zeros((rows, len(face_rows)), dtype=np.int64)
+    for k, faces in enumerate(face_rows):
+        for i, r in enumerate(faces):
+            if r is not None:
+                M[r, k] += -1 if i % 2 else 1
+    return M
+
+
 def normalized_chains(
     field: PrimeField,
     labels: dict[int, list[str]],
@@ -293,11 +308,8 @@ def normalized_chains(
     diffs: dict[int, np.ndarray] = {}
     for n, rows in faces.items():
         below = {nm: r for r, nm in enumerate(labels.get(n - 1, []))}
-        M = np.zeros((len(below), len(labels.get(n, []))), dtype=np.int64)
-        for k, entry in enumerate(rows):
-            for i, nm in enumerate(entry):
-                if nm is None:
-                    continue
-                M[below[nm], k] += -1 if i % 2 else 1
-        diffs[n] = M
+        diffs[n] = face_sum_matrix(
+            len(below),
+            [[None if nm is None else below[nm] for nm in entry] for entry in rows],
+        )
     return ChainComplex(field, labels, diffs)

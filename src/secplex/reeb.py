@@ -19,11 +19,18 @@ import numpy as np
 
 from .errors import NotSubdividedError, ValidationError, WindowError
 from .heights import HeightFunction, subdivision_number, subdivision_violations
-from .linalg import ChainComplex, PrimeField, balanced_lift, induced_map
+from .linalg import (
+    ChainComplex,
+    PrimeField,
+    balanced_lift,
+    face_sum_matrix,
+    induced_map,
+)
 from .sections import (
     DEFAULT_CAP,
     SectionTruncation,
     build_truncation,
+    face_rows,
     section_face,
     word_label,
 )
@@ -38,20 +45,17 @@ def vertical_complex(
     """Normalized chains, through degree ``top``, of the sections over one
     height word in the vertical direction."""
     word = tuple(word)
-    labels: dict[int, list[str]] = {}
-    diffs: dict[int, np.ndarray] = {}
-    for q in range(top + 1):
-        labels[q] = [f"q{q}#{i}" for i in range(len(trunc.block(word, q)))]
-    for q in range(1, top + 1):
-        cols = trunc.block(word, q)
-        row_index = trunc.block_index(word, q - 1)
-        M = np.zeros((len(trunc.block(word, q - 1)), len(cols)), dtype=np.int64)
-        for c, sec in enumerate(cols):
-            for i in range(q + 1):
-                pos = row_index.get(section_face(trunc.space, sec, "v", i))
-                if pos is not None:
-                    M[pos, c] += -1 if i % 2 else 1
-        diffs[q] = M
+    blocks = [trunc.block(word, q) for q in range(top + 1)]
+    labels = {
+        q: [f"q{q}#{i}" for i in range(len(secs))] for q, secs in enumerate(blocks)
+    }
+    diffs = {
+        q: face_sum_matrix(
+            len(blocks[q - 1]),
+            face_rows(trunc.space, blocks[q], "v", trunc.block_index(word, q - 1)),
+        )
+        for q in range(1, top + 1)
+    }
     return ChainComplex(field, labels, diffs)
 
 
@@ -75,22 +79,15 @@ def horizontal_chain_map(
 
 @dataclass
 class ReebComplex:
-    """The degree-q Reeb complex with its bookkeeping.
+    """The degree-q Reeb complex.
 
     ``complex`` is the assembled chain complex (integer matrices via the
-    balanced lift, exact over the field).  ``words[p]`` lists the height
-    words contributing to horizontal degree p; ``offsets``/``class_dims``
-    locate each word's homology classes inside the basis, and ``induced``
-    stores the homology matrix of each single horizontal face.
+    balanced lift, exact over the field).
     """
 
     q: int
     field: PrimeField
     complex: ChainComplex
-    words: dict[int, list[Word]]
-    class_dims: dict[Word, int]
-    offsets: dict[Word, int]
-    induced: dict[tuple[Word, int], np.ndarray]
 
     def dim(self, p: int) -> int:
         return self.complex.dim(p)
@@ -134,7 +131,6 @@ def reeb_complex(
             off += class_dims[w]
         labels[p] = labs
 
-    induced: dict[tuple[Word, int], np.ndarray] = {}
     diffs: dict[int, np.ndarray] = {}
     for p in range(1, s + 1):
         M = np.zeros((len(labels.get(p - 1, [])), len(labels.get(p, []))), dtype=np.int64)
@@ -147,7 +143,6 @@ def reeb_complex(
                     if k >= 0
                 }
                 ind = induced_map(vcx[w], vcx[dw], chain_maps, q)
-                induced[(w, i)] = ind
                 if ind.size:
                     sign = -1 if i % 2 else 1
                     r0, c0 = offsets[dw], offsets[w]
@@ -157,15 +152,7 @@ def reeb_complex(
                     ) % field.p
         diffs[p] = balanced_lift(M, field.p)
 
-    return ReebComplex(
-        q=q,
-        field=field,
-        complex=ChainComplex(field, labels, diffs),
-        words=words,
-        class_dims=class_dims,
-        offsets=offsets,
-        induced=induced,
-    )
+    return ReebComplex(q=q, field=field, complex=ChainComplex(field, labels, diffs))
 
 
 # -- the Reeb graph -----------------------------------------------------------
@@ -201,7 +188,6 @@ def reeb_graph(
     h: HeightFunction,
     trunc: SectionTruncation | None = None,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
 ) -> ReebGraph:
     """The Reeb graph of a subdivided height function.
 
@@ -215,9 +201,7 @@ def reeb_graph(
             f"the Reeb graph needs a subdivided height function: {violations[0]}"
         )
     if trunc is None:
-        trunc = build_truncation(
-            X, h, degree=max(1, subdivision_number(h)), cap=cap, threads=threads
-        )
+        trunc = build_truncation(X, h, degree=max(1, subdivision_number(h)), cap=cap)
     field = PrimeField(2)
     levels = h.levels
 

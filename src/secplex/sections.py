@@ -19,7 +19,6 @@ exploits; values on arbitrary monotone chains are recovered on demand by
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -138,8 +137,8 @@ def enumerate_sections(
             budget -= 1
             if budget < 0:
                 raise ResourceLimitError(
-                    f"section enumeration over {heights} at vertical degree {q} "
-                    f"exceeded the cap of {cap} candidates"
+                    f"section enumeration over {word_label(heights)} at vertical "
+                    f"degree {q} exceeded the cap of {cap} candidates"
                 )
             if all(
                 X.face(cand, t) == X.face(images[b], t) for b, t in adjacent[k]
@@ -273,18 +272,22 @@ def is_degenerate(X: SimplicialSet, sec: Section, direction: str) -> bool:
     return False
 
 
-def vertical_underlier(X: SimplicialSet, sec: Section) -> tuple[Section, tuple[int, ...]]:
-    """Strip vertical degeneracies; returns (core, word outermost first)."""
-    word: list[int] = []
-    while True:
-        for j in range(sec.q):
-            collapsed = section_face(X, sec, "v", j)
-            if section_degeneracy(X, collapsed, "v", j) == sec:
-                sec = collapsed
-                word.append(j)
-                break
-        else:
-            return sec, tuple(reversed(word))
+def face_rows(
+    X: SimplicialSet,
+    secs: Iterable[Section],
+    direction: str,
+    index: dict[Section, int],
+) -> list[list[int | None]]:
+    """For each section, the row under ``index`` of its i-th face in the
+    given direction, or ``None`` where that face is missing from ``index``
+    (a degenerate face)."""
+    rows = []
+    for sec in secs:
+        top = sec.p if direction == "h" else sec.q
+        rows.append(
+            [index.get(section_face(X, sec, direction, i)) for i in range(top + 1)]
+        )
+    return rows
 
 
 # -- the diagonal simplicial set ---------------------------------------------
@@ -398,38 +401,24 @@ def build_truncation(
     h: HeightFunction,
     degree: int,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
 ) -> SectionTruncation:
     """Enumerate all blocks of the truncation in canonical order.
 
     Words run over strictly increasing tuples of levels with at most
     ``subdivision + 1`` entries; vertical degrees fill up total degree
-    ``degree + 1``.  Blocks are enumerated independently (optionally on a
-    thread pool) and merged in canonical order, so the result does not
-    depend on ``threads``.
+    ``degree + 1``.  Each block keeps its vertically nondegenerate sections.
     """
     if degree < 0:
         raise ValidationError("the truncation degree must be nonnegative")
     s = subdivision_number(h)
-    levels = h.levels
-    tasks: list[tuple[tuple[Fraction, ...], int]] = []
+    blocks: dict[tuple[tuple[Fraction, ...], int], list[Section]] = {}
     for p in range(min(s, degree + 1) + 1):
-        for word in combinations(levels, p + 1):
+        for word in combinations(h.levels, p + 1):
             for q in range(degree + 2 - p):
-                tasks.append((word, q))
-
-    def job(task: tuple[tuple[Fraction, ...], int]) -> list[Section]:
-        word, q = task
-        secs = enumerate_sections(X, h, word, q, cap=cap)
-        return [sec for sec in secs if not is_degenerate(X, sec, "v")]
-
-    if threads == 1:
-        results = [job(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, tasks))
-
-    blocks = dict(zip(tasks, results))
+                secs = enumerate_sections(X, h, word, q, cap=cap)
+                blocks[(word, q)] = [
+                    sec for sec in secs if not is_degenerate(X, sec, "v")
+                ]
     index = {
         key: {sec: i for i, sec in enumerate(secs)} for key, secs in blocks.items()
     }

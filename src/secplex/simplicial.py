@@ -126,7 +126,7 @@ class SimplicialSet:
     Generator identifiers are opaque strings from the input; internal dense
     integer ids are assigned deterministically by (dimension, input order).
     Instances are immutable after construction (the mutable attributes are
-    memoisation caches only) and safe to share between threads.
+    memoisation caches only).
     """
 
     def __init__(

@@ -20,7 +20,6 @@ correction term D A[r-1, p+r-1] lives one total degree up).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .linalg import (
     ChainComplex,
     PrimeField,
     Subquotient,
+    face_sum_matrix,
     normalized_chains,
 )
 from .reeb import reeb_complex
@@ -38,11 +38,9 @@ from .sections import (
     SectionTruncation,
     build_truncation,
     diagonal_chain_complex,
-    section_face,
+    face_rows,
 )
 from .simplicial import SimplicialSet
-
-Word = tuple[Fraction, ...]
 
 
 @dataclass
@@ -51,8 +49,6 @@ class DoubleComplex:
 
     truncation: SectionTruncation
     dims: dict[tuple[int, int], int]
-    words: dict[int, list[Word]]
-    offsets: dict[tuple[Word, int], int]
     horizontal: dict[tuple[int, int], np.ndarray]
     vertical: dict[tuple[int, int], np.ndarray]
 
@@ -128,53 +124,34 @@ class DoubleComplex:
 
 
 def double_complex(trunc: SectionTruncation) -> DoubleComplex:
-    """Assemble the integer double complex from a stored truncation."""
+    """Assemble the integer double complex from a stored truncation.
+
+    The basis of bidegree (p, q) concatenates the blocks of its words in
+    :meth:`SectionTruncation.words` order; a section carries its height
+    word, so one index per bidegree locates every face.
+    """
     X = trunc.space
     s, N = trunc.subdivision, trunc.degree
-    words = {p: trunc.words(p) for p in range(min(s, N + 1) + 1)}
-    dims: dict[tuple[int, int], int] = {}
-    offsets: dict[tuple[Word, int], int] = {}
-    for p, ws in words.items():
-        for q in range(N + 2 - p):
-            off = 0
-            for w in ws:
-                offsets[(w, q)] = off
-                off += len(trunc.block(w, q))
-            dims[(p, q)] = off
-
+    bases = {
+        (p, q): [sec for w in trunc.words(p) for sec in trunc.block(w, q)]
+        for p in range(min(s, N + 1) + 1)
+        for q in range(N + 2 - p)
+    }
+    index = {pq: {sec: r for r, sec in enumerate(b)} for pq, b in bases.items()}
     horizontal: dict[tuple[int, int], np.ndarray] = {}
     vertical: dict[tuple[int, int], np.ndarray] = {}
-    for (p, q), cols in dims.items():
+    for (p, q), secs in bases.items():
         if p >= 1:
-            M = np.zeros((dims.get((p - 1, q), 0), cols), dtype=np.int64)
-            for w in words[p]:
-                index_cache = {
-                    i: trunc.block_index(w[:i] + w[i + 1 :], q) for i in range(p + 1)
-                }
-                for c, sec in enumerate(trunc.block(w, q)):
-                    col = offsets[(w, q)] + c
-                    for i in range(p + 1):
-                        dw = w[:i] + w[i + 1 :]
-                        pos = index_cache[i].get(section_face(X, sec, "h", i))
-                        if pos is not None:
-                            M[offsets[(dw, q)] + pos, col] += -1 if i % 2 else 1
-            horizontal[(p, q)] = M
+            below = (p - 1, q)
+            rows = face_rows(X, secs, "h", index[below])
+            horizontal[(p, q)] = face_sum_matrix(len(bases[below]), rows)
         if q >= 1:
-            M = np.zeros((dims.get((p, q - 1), 0), cols), dtype=np.int64)
-            for w in words[p]:
-                row_index = trunc.block_index(w, q - 1)
-                for c, sec in enumerate(trunc.block(w, q)):
-                    col = offsets[(w, q)] + c
-                    for i in range(q + 1):
-                        pos = row_index.get(section_face(X, sec, "v", i))
-                        if pos is not None:
-                            M[offsets[(w, q - 1)] + pos, col] += -1 if i % 2 else 1
-            vertical[(p, q)] = M
+            below = (p, q - 1)
+            rows = face_rows(X, secs, "v", index[below])
+            vertical[(p, q)] = face_sum_matrix(len(bases[below]), rows)
     return DoubleComplex(
         truncation=trunc,
-        dims=dims,
-        words=words,
-        offsets=offsets,
+        dims={pq: len(b) for pq, b in bases.items()},
         horizontal=horizontal,
         vertical=vertical,
     )
@@ -392,12 +369,11 @@ def convergence_check(
     field: PrimeField,
     degree: int = 2,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
 ) -> ConvergenceReport:
     """Compare homology of the base, the total complex, the diagonal and
     the stable page, through the given degree; also confirm the page after
     the stable one does not move."""
-    trunc = build_truncation(X, h, degree=degree, cap=cap, threads=threads)
+    trunc = build_truncation(X, h, degree=degree, cap=cap)
     dc = double_complex(trunc)
     ss = SpectralSequence(dc, field)
 
