@@ -37,7 +37,7 @@ class HeightFunction:
     monotonicity is the job of :func:`validate_height`.
     """
 
-    __slots__ = ("space", "_by_gid", "_levels")
+    __slots__ = ("space", "_by_gid", "_levels", "_widest")
 
     def __init__(self, space: SimplicialSet, values: Mapping[str, object]):
         self.space = space
@@ -53,6 +53,7 @@ class HeightFunction:
             raise HeightError(f"vertices without a height: {missing}")
         self._by_gid: tuple[Fraction, ...] = tuple(by_gid)  # type: ignore[arg-type]
         self._levels: list[Fraction] | None = None
+        self._widest: tuple[int, str | None] | None = None
 
     def of(self, gid: int) -> Fraction:
         return self._by_gid[gid]
@@ -111,15 +112,17 @@ def is_subdivided(h: HeightFunction) -> bool:
 
 def _widest_generator(h: HeightFunction) -> tuple[int, str | None]:
     """The subdivision number and the first generator achieving it, if it
-    is positive."""
-    best, witness = 0, None
-    X = h.space
-    for d in range(X.top_dim + 1):
-        for gid in X.generators(d):
-            steps = len(set(h.vertex_heights(SimplexRef(gid)))) - 1
-            if steps > best:
-                best, witness = steps, X.gen_names[gid]
-    return best, witness
+    is positive; computed once per height function."""
+    if h._widest is None:
+        best, witness = 0, None
+        X = h.space
+        for d in range(X.top_dim + 1):
+            for gid in X.generators(d):
+                steps = len(set(h.vertex_heights(SimplexRef(gid)))) - 1
+                if steps > best:
+                    best, witness = steps, X.gen_names[gid]
+        h._widest = (best, witness)
+    return h._widest
 
 
 def subdivision_number(h: HeightFunction) -> int:

@@ -1,10 +1,12 @@
-"""Dense exact linear algebra over a prime field.
+"""Exact linear algebra over a prime field.
 
 Matrices are numpy int64 arrays whose entries are reduced modulo the prime.
 With the prime capped below 2**31 every pivoting step stays below 2**62, so
 all arithmetic is exact in int64.  Pivoting is deterministic (first nonzero
 entry, scanning rows top to bottom), which keeps every downstream basis and
-report byte-stable.
+report byte-stable.  Elimination touches only the rows with a nonzero in the
+pivot column, and only from that column on, so its cost follows the
+nonzeros of the sparse boundary matrices rather than their full size.
 
 The chain-complex layer keeps its differentials as *integer* matrices so
 signs survive for display, and reduces mod p only when computing.
@@ -66,25 +68,34 @@ class PrimeField:
         return out
 
     def rref(self, M) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form and the pivot-column list."""
-        R = self.reduce(M).copy()
+        """Reduced row echelon form and the pivot-column list.
+
+        The pivot of column c is its first nonzero at or below the next
+        pivot row.  Only the rows with a nonzero in column c are eliminated,
+        and only from column c on: every row at or below the pivot row is
+        zero to the left of c.
+        """
+        p = self.p
+        R = self.reduce(M)
         rows, cols = R.shape
         pivots: list[int] = []
         r = 0
         for c in range(cols):
             if r == rows:
                 break
-            nz = np.nonzero(R[r:, c])[0]
-            if len(nz) == 0:
+            nz = np.flatnonzero(R[:, c])
+            k = nz.searchsorted(r)
+            if k == len(nz):
                 continue
-            pr = r + int(nz[0])
+            pr = int(nz[k])
             if pr != r:
-                R[[r, pr]] = R[[pr, r]]
-            inv = pow(int(R[r, c]), self.p - 2, self.p)
-            R[r] = (R[r] * inv) % self.p
-            col = R[:, c].copy()
-            col[r] = 0
-            R = (R - np.outer(col, R[r])) % self.p
+                R[[r, pr], c:] = R[[pr, r], c:]
+            inv = pow(int(R[r, c]), p - 2, p)
+            if inv != 1:
+                R[r, c:] = R[r, c:] * inv % p
+            hit = nz[nz != pr]
+            if len(hit):
+                R[hit, c:] = (R[hit, c:] - np.outer(R[hit, c], R[r, c:])) % p
             pivots.append(c)
             r += 1
         return R, pivots
@@ -94,15 +105,12 @@ class PrimeField:
 
     def kernel(self, M) -> np.ndarray:
         """Matrix whose columns are a basis of the null space."""
-        M = self.reduce(M)
         R, pivots = self.rref(M)
         pivot_set = set(pivots)
-        free = [c for c in range(M.shape[1]) if c not in pivot_set]
-        K = np.zeros((M.shape[1], len(free)), dtype=np.int64)
-        for idx, fc in enumerate(free):
-            K[fc, idx] = 1
-            for row, pc in enumerate(pivots):
-                K[pc, idx] = (-int(R[row, fc])) % self.p
+        free = [c for c in range(R.shape[1]) if c not in pivot_set]
+        K = np.zeros((R.shape[1], len(free)), dtype=np.int64)
+        K[free, np.arange(len(free))] = 1
+        K[pivots] = -R[: len(pivots), free] % self.p
         return K
 
     def image(self, M) -> np.ndarray:
@@ -124,8 +132,7 @@ class PrimeField:
         if pivots and pivots[-1] >= n:
             raise LinAlgError("inconsistent linear system")
         X = np.zeros((n, B.shape[1]), dtype=np.int64)
-        for row, pc in enumerate(pivots):
-            X[pc] = R[row, n:]
+        X[pivots] = R[: len(pivots), n:]
         return X[:, 0] if vector else X
 
 
@@ -143,15 +150,18 @@ class Subquotient:
         sub = field.reduce(sub)
         if total.shape[0] != sub.shape[0]:
             raise LinAlgError("subquotient spaces live in different ambients")
-        if field.rank(total) != field.rank(np.concatenate([total, sub], axis=1)):
+        _, pivots = field.rref(np.concatenate([total, sub], axis=1))
+        if pivots and pivots[-1] >= total.shape[1]:
             raise LinAlgError("sub is not contained in total")
-        sub_basis = field.image(sub)
-        k = sub_basis.shape[1]
-        _, pivots = field.rref(np.concatenate([sub_basis, total], axis=1))
-        self.representatives = total[:, [pv - k for pv in pivots if pv >= k]]
+        # the pivots among sub's columns are the ones image(sub) keeps; those
+        # among total's columns complete them to a basis of span(total)
+        m = sub.shape[1]
+        _, pivots = field.rref(np.concatenate([sub, total], axis=1))
+        sub_basis = sub[:, [pv for pv in pivots if pv < m]]
+        self.representatives = total[:, [pv - m for pv in pivots if pv >= m]]
         self.dimension = self.representatives.shape[1]
         self._solve_matrix = np.concatenate([sub_basis, self.representatives], axis=1)
-        self._sub_rank = k
+        self._sub_rank = sub_basis.shape[1]
 
     def coords(self, z: np.ndarray) -> np.ndarray:
         """Coordinates of the class of z on the stored representatives."""

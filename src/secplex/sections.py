@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, ValidationError, WindowError
 from .heights import HeightFunction, as_fraction, subdivision_number
@@ -293,10 +293,13 @@ def face_rows(
 # -- the diagonal simplicial set ---------------------------------------------
 
 
-def _diagonal_degenerate(X: SimplicialSet, sec: Section) -> bool:
-    """Degeneracy criterion for the diagonal: both directions at once."""
+def _diagonal_degenerate(
+    X: SimplicialSet, sec: Section, face: Callable[[Section, int], Section]
+) -> bool:
+    """Degeneracy criterion for the diagonal: both directions at once.
+    ``face(sec, j)`` is the diagonal j-th face."""
     for j in range(sec.p):
-        f = section_face(X, section_face(X, sec, "h", j), "v", j)
+        f = face(sec, j)
         if section_degeneracy(X, section_degeneracy(X, f, "v", j), "h", j) == sec:
             return True
     return False
@@ -316,6 +319,15 @@ def diagonal_chain_complex(
     vertical i-th faces together, and only diagonally nondegenerate
     sections generate.
     """
+    faces_of: dict[tuple[Section, int], Section] = {}
+
+    def face(sec: Section, i: int) -> Section:
+        f = faces_of.get((sec, i))
+        if f is None:
+            f = section_face(X, section_face(X, sec, "h", i), "v", i)
+            faces_of[(sec, i)] = f
+        return f
+
     levels = h.levels
     labels: dict[int, list[str]] = {}
     label_of: dict[int, dict[Section, str]] = {}
@@ -324,7 +336,7 @@ def diagonal_chain_complex(
         row: list[Section] = []
         for word in combinations_with_replacement(levels, n + 1):
             for sec in enumerate_sections(X, h, word, n, cap=cap):
-                if not _diagonal_degenerate(X, sec):
+                if not _diagonal_degenerate(X, sec, face):
                     row.append(sec)
         counter: dict[tuple[Fraction, ...], int] = {}
         labs: list[str] = []
@@ -341,9 +353,9 @@ def diagonal_chain_complex(
         for sec in secs[n]:
             entry: list[str | None] = []
             for i in range(n + 1):
-                f = section_face(X, section_face(X, sec, "h", i), "v", i)
+                f = face(sec, i)
                 lab = label_of[n - 1].get(f)
-                if lab is None and not _diagonal_degenerate(X, f):
+                if lab is None and not _diagonal_degenerate(X, f, face):
                     raise ValidationError(
                         "internal: a nondegenerate diagonal face is missing "
                         "from the enumeration"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from secplex import (
     ChainComplex,
@@ -175,3 +176,113 @@ def test_normalized_betti_match_unnormalized(all_examples, gf2, gf3):
             labels, faces = X.chain_data(3)
             cx = normalized_chains(F, labels, faces)
             assert [cx.betti(n) for n in range(3)] == unnormalized_betti(X, F, 2)
+
+
+# -- oracles: the dense elimination and four-rref subquotient it replaced ----
+
+
+def dense_rref(p, M):
+    """Eliminate every row against every pivot over the whole matrix."""
+    R = np.asarray(M, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        inv = pow(int(R[r, c]), p - 2, p)
+        R[r] = (R[r] * inv) % p
+        col = R[:, c].copy()
+        col[r] = 0
+        R = (R - np.outer(col, R[r])) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def dense_kernel(p, M):
+    M = np.asarray(M, dtype=np.int64) % p
+    R, pivots = dense_rref(p, M)
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    K = np.zeros((M.shape[1], len(free)), dtype=np.int64)
+    for idx, fc in enumerate(free):
+        K[fc, idx] = 1
+        for row, pc in enumerate(pivots):
+            K[pc, idx] = (-int(R[row, fc])) % p
+    return K
+
+
+def four_rref_subquotient(p, total, sub):
+    """(representatives, dimension), or None where sub is not in total."""
+    total = np.asarray(total, dtype=np.int64) % p
+    sub = np.asarray(sub, dtype=np.int64) % p
+    rank = lambda M: len(dense_rref(p, M)[1])
+    if rank(total) != rank(np.concatenate([total, sub], axis=1)):
+        return None
+    sub_basis = sub[:, dense_rref(p, sub)[1]]
+    k = sub_basis.shape[1]
+    _, pivots = dense_rref(p, np.concatenate([sub_basis, total], axis=1))
+    reps = total[:, [pv - k for pv in pivots if pv >= k]]
+    return reps, reps.shape[1]
+
+
+oracle_primes = st.sampled_from([2, 3, 32003])
+
+
+@st.composite
+def field_matrices(draw, max_rows=12, max_cols=24):
+    """A prime and a matrix over it, mostly zeros or fully drawn."""
+    p = draw(oracle_primes)
+    shape = (draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols)))
+    sparse = draw(st.booleans())
+    M = draw(
+        arrays(
+            np.int64,
+            shape,
+            elements=st.integers(-3 * p, 3 * p),
+            fill=st.just(0) if sparse else st.nothing(),
+        )
+    )
+    return p, M
+
+
+@given(field_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_and_kernel_match_dense_elimination(pm):
+    p, M = pm
+    F = PrimeField(p)
+    R, pivots = F.rref(M)
+    R0, pivots0 = dense_rref(p, M)
+    assert pivots == pivots0
+    assert R.dtype == np.int64 and np.array_equal(R, R0)
+    assert np.array_equal(F.kernel(M), dense_kernel(p, M))
+
+
+@given(field_matrices(max_cols=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_subquotient_matches_four_rref_construction(pm, data):
+    p, total = pm
+    F = PrimeField(p)
+    # sub spans combinations of total's columns, plus maybe stray columns
+    k = data.draw(st.integers(0, 12))
+    C = data.draw(arrays(np.int64, (total.shape[1], k), elements=st.integers(0, p - 1)))
+    stray = data.draw(
+        arrays(np.int64, (total.shape[0], data.draw(st.integers(0, 2))),
+               elements=st.integers(0, p - 1), fill=st.just(0))
+    )
+    sub = np.concatenate([F.matmul(total, C), stray], axis=1)
+    expected = four_rref_subquotient(p, total, sub)
+    if expected is None:
+        with pytest.raises(LinAlgError, match="not contained"):
+            Subquotient(F, total, sub)
+        return
+    Q = Subquotient(F, total, sub)
+    reps, dim = expected
+    assert Q.dimension == dim
+    assert np.array_equal(Q.representatives, reps)
