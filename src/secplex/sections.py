@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError, ValidationError, WindowError
 from .heights import HeightFunction, as_fraction, subdivision_number
@@ -293,14 +293,26 @@ def face_rows(
 # -- the diagonal simplicial set ---------------------------------------------
 
 
-def _diagonal_degenerate(
-    X: SimplicialSet, sec: Section, face: Callable[[Section, int], Section]
-) -> bool:
+def _diagonal_degenerate(X: SimplicialSet, sec: Section) -> bool:
     """Degeneracy criterion for the diagonal: both directions at once.
-    ``face(sec, j)`` is the diagonal j-th face."""
+
+    The section is the j-th diagonal degeneracy of its j-th diagonal face
+    exactly when its value on every maximal chain equals its value on that
+    chain with the index j moved to j + 1 in both coordinates (the vertex
+    map of the j-th degeneracy after the j-th face).  Only words repeating
+    height j can pass, since a horizontal degeneracy repeats it.
+    """
+    chains = shuffle_chains(sec.p, sec.q)
     for j in range(sec.p):
-        f = face(sec, j)
-        if section_degeneracy(X, section_degeneracy(X, f, "v", j), "h", j) == sec:
+        if sec.heights[j] != sec.heights[j + 1]:
+            continue
+        if all(
+            evaluate_chain(
+                X, sec, tuple((j + 1 if a == j else a, j + 1 if b == j else b)
+                              for a, b in chain)
+            ) == image
+            for chain, image in zip(chains, sec.images)
+        ):
             return True
     return False
 
@@ -319,15 +331,6 @@ def diagonal_chain_complex(
     vertical i-th faces together, and only diagonally nondegenerate
     sections generate.
     """
-    faces_of: dict[tuple[Section, int], Section] = {}
-
-    def face(sec: Section, i: int) -> Section:
-        f = faces_of.get((sec, i))
-        if f is None:
-            f = section_face(X, section_face(X, sec, "h", i), "v", i)
-            faces_of[(sec, i)] = f
-        return f
-
     levels = h.levels
     labels: dict[int, list[str]] = {}
     label_of: dict[int, dict[Section, str]] = {}
@@ -336,7 +339,7 @@ def diagonal_chain_complex(
         row: list[Section] = []
         for word in combinations_with_replacement(levels, n + 1):
             for sec in enumerate_sections(X, h, word, n, cap=cap):
-                if not _diagonal_degenerate(X, sec, face):
+                if not _diagonal_degenerate(X, sec):
                     row.append(sec)
         counter: dict[tuple[Fraction, ...], int] = {}
         labs: list[str] = []
@@ -353,9 +356,9 @@ def diagonal_chain_complex(
         for sec in secs[n]:
             entry: list[str | None] = []
             for i in range(n + 1):
-                f = face(sec, i)
+                f = section_face(X, section_face(X, sec, "h", i), "v", i)
                 lab = label_of[n - 1].get(f)
-                if lab is None and not _diagonal_degenerate(X, f, face):
+                if lab is None and not _diagonal_degenerate(X, f):
                     raise ValidationError(
                         "internal: a nondegenerate diagonal face is missing "
                         "from the enumeration"

@@ -211,3 +211,27 @@ def test_truncation_window_error(cylinder_pair):
     with pytest.raises(WindowError) as err:
         trunc.block((Fraction(0), Fraction(1)), 2)
     assert err.value.required_degree == 2
+
+
+def test_diagonal_degeneracy_matches_face_then_degeneracy(all_examples):
+    # the chain test must agree with building s_j^h s_j^v d_j^v d_j^h of
+    # the section and comparing, on every (n, n)-section of the examples
+    from secplex.sections import _diagonal_degenerate
+
+    def rebuilt(X, sec):
+        for j in range(sec.p):
+            f = section_face(X, section_face(X, sec, "h", j), "v", j)
+            up = section_degeneracy(X, section_degeneracy(X, f, "v", j), "h", j)
+            if up == sec:
+                return True
+        return False
+
+    seen = set()
+    for X, h in all_examples:
+        for n in (1, 2):
+            for word in weakly_increasing_words(h.levels, n + 1):
+                for sec in enumerate_sections(X, h, word, n):
+                    expected = rebuilt(X, sec)
+                    assert _diagonal_degenerate(X, sec) == expected
+                    seen.add(expected)
+    assert seen == {True, False}
