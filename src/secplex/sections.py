@@ -147,7 +147,12 @@ def enumerate_sections(
                 backtrack(k + 1)
                 images.pop()
 
-    backtrack(0)
+    try:
+        backtrack(0)
+    finally:
+        # the recursive closure refers to itself; left in place, that cycle
+        # keeps X and its caches alive until the next garbage collection
+        del backtrack
     return out
 
 

@@ -235,3 +235,22 @@ def test_diagonal_degeneracy_matches_face_then_degeneracy(all_examples):
                     assert _diagonal_degenerate(X, sec) == expected
                     seen.add(expected)
     assert seen == {True, False}
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a space must be freed by reference counting once its caller drops it,
+    # not wait for a garbage-collection pass with all its caches
+    import gc
+    import weakref
+
+    from secplex.examples import cylinder
+
+    X, h = cylinder()
+    ref = weakref.ref(X)
+    gc.disable()
+    try:
+        assert enumerate_sections(X, h, (0, 1), 1)
+        del X, h
+        assert ref() is None
+    finally:
+        gc.enable()
