@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,9 @@ from secplex import (
     shuffle_chains,
 )
 
+
+from secplex.examples import cylinder
+from secplex.sections import _diagonal_degenerate
 
 from conftest import all_chains, naive_sections
 
@@ -216,8 +221,6 @@ def test_truncation_window_error(cylinder_pair):
 def test_diagonal_degeneracy_matches_face_then_degeneracy(all_examples):
     # the chain test must agree with building s_j^h s_j^v d_j^v d_j^h of
     # the section and comparing, on every (n, n)-section of the examples
-    from secplex.sections import _diagonal_degenerate
-
     def rebuilt(X, sec):
         for j in range(sec.p):
             f = section_face(X, section_face(X, sec, "h", j), "v", j)
@@ -240,11 +243,6 @@ def test_diagonal_degeneracy_matches_face_then_degeneracy(all_examples):
 def test_enumeration_leaves_no_reference_cycle():
     # a space must be freed by reference counting once its caller drops it,
     # not wait for a garbage-collection pass with all its caches
-    import gc
-    import weakref
-
-    from secplex.examples import cylinder
-
     X, h = cylinder()
     ref = weakref.ref(X)
     gc.disable()
