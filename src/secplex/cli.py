@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cap", type=int, default=DEFAULT_CAP,
-        help="abort enumeration beyond this many candidate extensions",
+        help="abort a block's enumeration beyond this many candidates "
+             "(simplices sharing a face with an already chosen neighbour)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -37,7 +37,7 @@ class HeightFunction:
     monotonicity is the job of :func:`validate_height`.
     """
 
-    __slots__ = ("space", "_by_gid", "_levels", "_widest")
+    __slots__ = ("space", "_by_gid", "_levels", "_widest", "_buckets")
 
     def __init__(self, space: SimplicialSet, values: Mapping[str, object]):
         self.space = space
@@ -54,6 +54,8 @@ class HeightFunction:
         self._by_gid: tuple[Fraction, ...] = tuple(by_gid)  # type: ignore[arg-type]
         self._levels: list[Fraction] | None = None
         self._widest: tuple[int, str | None] | None = None
+        # n -> {vertex-height tuple: sorted n-simplices}, filled by sections
+        self._buckets: dict[int, dict[tuple[Fraction, ...], list[SimplexRef]]] = {}
 
     def of(self, gid: int) -> Fraction:
         return self._by_gid[gid]

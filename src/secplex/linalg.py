@@ -164,7 +164,8 @@ class Subquotient:
         self._sub_rank = sub_basis.shape[1]
 
     def coords(self, z: np.ndarray) -> np.ndarray:
-        """Coordinates of the class of z on the stored representatives."""
+        """Coordinates of the class of z on the stored representatives; a
+        matrix z gets one column of coordinates per column."""
         sol = self.field.solve(self._solve_matrix, z)
         return sol[self._sub_rank :]
 
@@ -279,13 +280,9 @@ def induced_map(
             raise LinAlgError(f"not a chain map in degree {n}")
     src_h = source.homology(n)
     tgt_h = target.homology(n)
-    out = np.zeros((tgt_h.dimension, src_h.dimension), dtype=np.int64)
     if src_h.dimension == 0 or tgt_h.dimension == 0:
-        return out
-    images = field.matmul(f_n, src_h.representatives)
-    for j in range(src_h.dimension):
-        out[:, j] = tgt_h.coords(images[:, j])
-    return out
+        return np.zeros((tgt_h.dimension, src_h.dimension), dtype=np.int64)
+    return tgt_h.coords(field.matmul(f_n, src_h.representatives))
 
 
 def face_sum_matrix(rows: int, face_rows: list[list[int | None]]) -> np.ndarray:

@@ -69,6 +69,26 @@ def _chain_index(p: int, q: int) -> dict[Chain, int]:
     return {c: k for k, c in enumerate(shuffle_chains(p, q))}
 
 
+@lru_cache(maxsize=None)
+def _adjacent_chains(p: int, q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each maximal chain, the pairs (b, t) of an earlier chain b that
+    differs from it only at position t.
+
+    Every chain but the first has one: swapping a horizontal step followed
+    by a vertical step gives a lexicographically smaller chain.
+    """
+    chains = shuffle_chains(p, q)
+    out = []
+    for a in range(len(chains)):
+        pairs = []
+        for b in range(a):
+            diff = [t for t in range(p + q + 1) if chains[a][t] != chains[b][t]]
+            if len(diff) == 1:
+                pairs.append((b, diff[0]))
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
 @dataclass(frozen=True, order=True)
 class Section:
     """A (p, q)-section: heights word plus one image per maximal chain.
@@ -84,6 +104,22 @@ class Section:
     images: tuple[SimplexRef, ...]
 
 
+def _height_buckets(
+    h: HeightFunction, n: int
+) -> dict[tuple[Fraction, ...], list[SimplexRef]]:
+    """The n-simplices grouped by vertex-height tuple, each group sorted;
+    built once per height function and dimension."""
+    buckets = h._buckets.get(n)
+    if buckets is None:
+        buckets = {}
+        for ref in h.space.simplices(n):
+            buckets.setdefault(h.vertex_heights(ref), []).append(ref)
+        for refs in buckets.values():
+            refs.sort()
+        h._buckets[n] = buckets
+    return buckets
+
+
 def enumerate_sections(
     X: SimplicialSet,
     h: HeightFunction,
@@ -94,8 +130,12 @@ def enumerate_sections(
     """All (p, q)-sections over the given height word, degenerate included.
 
     The word may repeat heights.  Results come in lexicographic order on
-    the image tuples.  Every candidate inspected counts against ``cap``;
-    exceeding it raises :class:`ResourceLimitError`.
+    the image tuples.  A word some chain of which has no simplex of its
+    height pattern has no sections and inspects no candidate.  Otherwise
+    the candidates for the first chain are its whole bucket, and for each
+    later chain the simplices of its bucket sharing a face with an already
+    chosen neighbouring chain; each counts against ``cap``, and exceeding
+    it raises :class:`ResourceLimitError`.
     """
     heights = tuple(as_fraction(a) for a in levels)
     if not heights:
@@ -105,24 +145,18 @@ def enumerate_sections(
     p = len(heights) - 1
     n = p + q
     chains = shuffle_chains(p, q)
-    patterns = [tuple(heights[i] for (i, _) in c) for c in chains]
-    buckets: dict[tuple[Fraction, ...], list[SimplexRef]] = {
-        pat: [] for pat in patterns
-    }
-    for ref in X.simplices(n):
-        pat = h.vertex_heights(ref)
-        if pat in buckets:
-            buckets[pat].append(ref)
-    for refs in buckets.values():
-        refs.sort()
+    all_buckets = _height_buckets(h, n)
+    buckets: list[list[SimplexRef]] = []
+    for c in chains:
+        refs = all_buckets.get(tuple(heights[i] for (i, _) in c))
+        if refs is None:
+            return []
+        buckets.append(refs)
 
-    # chains differing in exactly one position; endpoints are always shared
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in chains]
-    for a in range(len(chains)):
-        for b in range(a):
-            diff = [t for t in range(n + 1) if chains[a][t] != chains[b][t]]
-            if len(diff) == 1:
-                adjacent[a].append((b, diff[0]))
+    adjacent = _adjacent_chains(p, q)
+    # per chain after the first, its bucket keyed on the face at its first
+    # adjacent constraint; built when the search first reaches the chain
+    by_face: list[dict[SimplexRef, list[SimplexRef]] | None] = [None] * len(chains)
 
     out: list[Section] = []
     images: list[SimplexRef] = []
@@ -133,15 +167,27 @@ def enumerate_sections(
         if k == len(chains):
             out.append(Section(p, q, heights, tuple(images)))
             return
-        for cand in buckets[patterns[k]]:
+        if k == 0:
+            candidates = buckets[0]
+        else:
+            b, t = adjacent[k][0]
+            index = by_face[k]
+            if index is None:
+                index = by_face[k] = {}
+                for cand in buckets[k]:
+                    index.setdefault(X.face(cand, t), []).append(cand)
+            candidates = index.get(X.face(images[b], t), ())
+        for cand in candidates:
             budget -= 1
             if budget < 0:
                 raise ResourceLimitError(
                     f"section enumeration over {word_label(heights)} at vertical "
-                    f"degree {q} exceeded the cap of {cap} candidates"
+                    f"degree {q} exceeded the cap of {cap} candidates, at chain "
+                    f"{k + 1} of {len(chains)}, whose bucket holds "
+                    f"{len(buckets[k])} simplices"
                 )
             if all(
-                X.face(cand, t) == X.face(images[b], t) for b, t in adjacent[k]
+                X.face(cand, t) == X.face(images[b], t) for b, t in adjacent[k][1:]
             ):
                 images.append(cand)
                 backtrack(k + 1)
@@ -267,14 +313,35 @@ def section_degeneracy(
     raise ValidationError(f"unknown direction {direction!r}, expected 'h' or 'v'")
 
 
+def _fixed_by_move(X: SimplicialSet, sec: Section, j: int, axes: str) -> bool:
+    """Whether the section is the j-th degeneracy of its j-th face along
+    ``axes``: "h", "v", or "hv" for both at once (the diagonal).
+
+    That composite acts on grid points by moving index j to j + 1 in each
+    coordinate of ``axes``, so the test is that this move fixes the
+    section's value on every maximal chain; it stops at the first
+    difference.  A horizontal degeneracy repeats height j, so other words
+    fail at once.
+    """
+    across, up = "h" in axes, "v" in axes
+    if across and sec.heights[j] != sec.heights[j + 1]:
+        return False
+    for chain, image in zip(shuffle_chains(sec.p, sec.q), sec.images):
+        moved = tuple(
+            (j + 1 if across and a == j else a, j + 1 if up and b == j else b)
+            for a, b in chain
+        )
+        if evaluate_chain(X, sec, moved) != image:
+            return False
+    return True
+
+
 def is_degenerate(X: SimplicialSet, sec: Section, direction: str) -> bool:
     """Whether the section is a degeneracy in the given direction."""
+    if direction not in ("h", "v"):
+        raise ValidationError(f"unknown direction {direction!r}, expected 'h' or 'v'")
     top = sec.p if direction == "h" else sec.q
-    for j in range(top):
-        collapsed = section_face(X, sec, direction, j)
-        if section_degeneracy(X, collapsed, direction, j) == sec:
-            return True
-    return False
+    return any(_fixed_by_move(X, sec, j, direction) for j in range(top))
 
 
 def face_rows(
@@ -299,27 +366,8 @@ def face_rows(
 
 
 def _diagonal_degenerate(X: SimplicialSet, sec: Section) -> bool:
-    """Degeneracy criterion for the diagonal: both directions at once.
-
-    The section is the j-th diagonal degeneracy of its j-th diagonal face
-    exactly when its value on every maximal chain equals its value on that
-    chain with the index j moved to j + 1 in both coordinates (the vertex
-    map of the j-th degeneracy after the j-th face).  Only words repeating
-    height j can pass, since a horizontal degeneracy repeats it.
-    """
-    chains = shuffle_chains(sec.p, sec.q)
-    for j in range(sec.p):
-        if sec.heights[j] != sec.heights[j + 1]:
-            continue
-        if all(
-            evaluate_chain(
-                X, sec, tuple((j + 1 if a == j else a, j + 1 if b == j else b)
-                              for a, b in chain)
-            ) == image
-            for chain, image in zip(chains, sec.images)
-        ):
-            return True
-    return False
+    """Degeneracy criterion for the diagonal: both directions at once."""
+    return any(_fixed_by_move(X, sec, j, "hv") for j in range(sec.p))
 
 
 def diagonal_chain_complex(

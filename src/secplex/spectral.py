@@ -270,11 +270,12 @@ class SpectralSequence:
                 tgt = entries.get((p - r, q + r - 1))
                 if tgt is None:
                     continue
-                M = np.zeros((tgt.dimension, src.dimension), dtype=np.int64)
                 if src.dimension and tgt.dimension:
-                    images = self.field.matmul(self._D[p + q], src.representatives)
-                    for j in range(src.dimension):
-                        M[:, j] = tgt.coords(images[:, j])
+                    M = tgt.coords(
+                        self.field.matmul(self._D[p + q], src.representatives)
+                    )
+                else:
+                    M = np.zeros((tgt.dimension, src.dimension), dtype=np.int64)
                 diffs[(p, q)] = M
         page = Page(
             r=r,

@@ -286,3 +286,24 @@ def test_subquotient_matches_four_rref_construction(pm, data):
     reps, dim = expected
     assert Q.dimension == dim
     assert np.array_equal(Q.representatives, reps)
+
+
+@given(field_matrices(max_cols=12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_coords_of_a_matrix_are_its_column_coords(pm, data):
+    p, total = pm
+    F = PrimeField(p)
+    C = data.draw(
+        arrays(np.int64, (total.shape[1], data.draw(st.integers(0, 4))),
+               elements=st.integers(0, p - 1))
+    )
+    W = data.draw(
+        arrays(np.int64, (total.shape[1], data.draw(st.integers(0, 5))),
+               elements=st.integers(0, p - 1))
+    )
+    Q = Subquotient(F, total, F.matmul(total, C))
+    Z = F.matmul(total, W)
+    got = Q.coords(Z)
+    assert got.shape == (Q.dimension, Z.shape[1])
+    for j in range(Z.shape[1]):
+        assert np.array_equal(got[:, j], Q.coords(Z[:, j]))

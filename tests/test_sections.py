@@ -71,6 +71,42 @@ def test_resource_cap(cylinder_pair):
         enumerate_sections(X, h, (0, 1), 2, cap=3)
 
 
+def test_resource_cap_names_chain_and_bucket():
+    X, h = cylinder()
+    with pytest.raises(ResourceLimitError) as err:
+        enumerate_sections(X, h, (0, 1), 2, cap=3)
+    assert str(err.value).startswith(
+        "section enumeration over 0,1 at vertical degree 2 exceeded the cap "
+        "of 3 candidates, at chain "
+    )
+    # the first chain's candidates are its whole bucket
+    bucket = [s for s in X.simplices(3) if h.vertex_heights(s) == (0, 0, 0, 1)]
+    assert len(bucket) > 3
+    assert str(err.value).endswith(f"at chain 1 of 3, whose bucket holds {len(bucket)} simplices")
+
+
+def test_impossible_word_inspects_nothing(subdivided_pair):
+    # no edge of the subdivided sphere joins heights 0 and 2, so the word
+    # has no sections and a zero cap is never reached
+    X, h = subdivided_pair
+    assert enumerate_sections(X, h, (0, 2), 0, cap=0) == []
+
+
+def test_truncation_lists_each_dimension_once():
+    X, h = cylinder()
+    calls = []
+    listing = X.simplices
+
+    def counted(n):
+        calls.append(n)
+        return listing(n)
+
+    X.simplices = counted
+    trunc = build_truncation(X, h, degree=2)
+    assert sum(len(secs) for secs in trunc.blocks.values()) > 0
+    assert sorted(calls) == sorted(set(calls))
+
+
 # -- the product square, where the identity section lives --------------------
 
 
@@ -238,6 +274,30 @@ def test_diagonal_degeneracy_matches_face_then_degeneracy(all_examples):
                     assert _diagonal_degenerate(X, sec) == expected
                     seen.add(expected)
     assert seen == {True, False}
+
+
+def test_degeneracy_matches_face_then_degeneracy(all_examples):
+    # the chain test must agree with building s_j d_j of the section in the
+    # same direction and comparing, on every section up to total degree 3
+    def rebuilt(X, sec, direction):
+        top = sec.p if direction == "h" else sec.q
+        return any(
+            section_degeneracy(X, section_face(X, sec, direction, j), direction, j)
+            == sec
+            for j in range(top)
+        )
+
+    seen = {"h": set(), "v": set()}
+    for X, h in all_examples:
+        for total in range(4):
+            for p in range(total + 1):
+                for word in weakly_increasing_words(h.levels, p + 1):
+                    for sec in enumerate_sections(X, h, word, total - p):
+                        for direction in ("h", "v"):
+                            expected = rebuilt(X, sec, direction)
+                            assert is_degenerate(X, sec, direction) == expected
+                            seen[direction].add(expected)
+    assert seen == {"h": {True, False}, "v": {True, False}}
 
 
 def test_enumeration_leaves_no_reference_cycle():
