@@ -104,7 +104,7 @@ def test_truncation_lists_each_dimension_once():
     X.simplices = counted
     trunc = build_truncation(X, h, degree=2)
     assert sum(len(secs) for secs in trunc.blocks.values()) > 0
-    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == len(set(calls))
 
 
 # -- the product square, where the identity section lives --------------------
