@@ -13,8 +13,9 @@ Maximal chains are kept in lexicographic order on their point sequences,
 and a section is stored as the tuple of its chain images in that order.
 Pairs of chains that differ in exactly one position generate all the
 compatibility constraints, which is what the backtracking enumeration
-exploits; values on arbitrary monotone chains are recovered on demand by
-:func:`evaluate_chain`.
+exploits.  Faces and degeneracies of sections, and values on arbitrary
+monotone chains, follow integer recipes cached once per grid shape
+(:func:`_plan`), and degeneracy is read off the images' normal-form words.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from typing import Iterable, Sequence
 from .errors import ResourceLimitError, ValidationError, WindowError
 from .heights import HeightFunction, as_fraction, subdivision_number
 from .linalg import ChainComplex, PrimeField, normalized_chains
-from .simplicial import SimplexRef, SimplicialSet, delta_vertex, sigma_vertex
+from .simplicial import (
+    SimplexRef,
+    SimplicialSet,
+    delta_vertex,
+    sigma_vertex,
+    word_vertex_position,
+)
 
 DEFAULT_CAP = 10**6
 
@@ -62,11 +69,6 @@ def shuffle_chains(p: int, q: int) -> tuple[Chain, ...]:
                 yield ((i, j),) + rest
 
     return tuple(rec(0, 0))
-
-
-@lru_cache(maxsize=None)
-def _chain_index(p: int, q: int) -> dict[Chain, int]:
-    return {c: k for k, c in enumerate(shuffle_chains(p, q))}
 
 
 @lru_cache(maxsize=None)
@@ -202,146 +204,155 @@ def enumerate_sections(
     return out
 
 
-def evaluate_chain(X: SimplicialSet, sec: Section, chain: Chain) -> SimplexRef:
-    """Value of a section on an arbitrary weakly monotone grid chain.
+Recipe = tuple[int, tuple[int, ...], tuple[int, ...]]
+# kind of operator -> (vertex map, change of grid size)
+_MOVES = {"face": (delta_vertex, -1), "degeneracy": (sigma_vertex, 1)}
+_AXIS_NAMES = {"h": "horizontal", "v": "vertical"}
 
-    Repeats become degeneracies; a strict chain is completed to a maximal
-    one (horizontal steps first between consecutive anchors) and the
-    inserted positions are removed again by faces, top position first.
-    """
-    key = (sec.p, sec.q, sec.images, chain)
-    hit = X._eval_cache.get(key)
-    if hit is not None:
-        return hit
+
+@lru_cache(maxsize=None)
+def _recipe(p: int, q: int, chain: Chain) -> Recipe:
+    """How a (p, q)-section's value on a weakly monotone grid chain is read
+    off its images: the index of a maximal chain, then face positions, then
+    degeneracy positions, each in the order applied.  Repeats become
+    degeneracies; a strict chain is completed to a maximal one (horizontal
+    steps first between consecutive anchors) and the inserted positions are
+    removed again by faces, top position first."""
     if not chain:
         raise ValidationError("cannot evaluate a section on the empty chain")
     for (i, j) in chain:
-        if not (0 <= i <= sec.p and 0 <= j <= sec.q):
+        if not (0 <= i <= p and 0 <= j <= q):
             raise ValidationError(f"chain point {(i, j)} outside the grid")
     for k in range(len(chain) - 1):
         (i0, j0), (i1, j1) = chain[k], chain[k + 1]
         if i1 < i0 or j1 < j0:
             raise ValidationError(f"chain is not monotone at position {k}")
         if (i0, j0) == (i1, j1):
-            sub = chain[: k + 1] + chain[k + 2 :]
-            result = X.degeneracy(evaluate_chain(X, sec, sub), k)
-            X._eval_cache[key] = result
-            return result
-
-    index = _chain_index(sec.p, sec.q).get(chain)
-    if index is not None:
-        result = sec.images[index]
-        X._eval_cache[key] = result
-        return result
-
-    anchors = set(chain)
-    waypoints = list(chain)
-    if waypoints[0] != (0, 0):
-        waypoints.insert(0, (0, 0))
-    if waypoints[-1] != (sec.p, sec.q):
-        waypoints.append((sec.p, sec.q))
-    full: list[GridPoint] = [waypoints[0]]
-    for (i0, j0), (i1, j1) in zip(waypoints, waypoints[1:]):
+            index, faces, degeneracies = _recipe(p, q, chain[: k + 1] + chain[k + 2 :])
+            return index, faces, degeneracies + (k,)
+    full: list[GridPoint] = [(0, 0)]
+    for (i0, j0), (i1, j1) in zip(((0, 0),) + chain, chain + ((p, q),)):
         full.extend((i, j0) for i in range(i0 + 1, i1 + 1))
         full.extend((i1, j) for j in range(j0 + 1, j1 + 1))
-    value = sec.images[_chain_index(sec.p, sec.q)[tuple(full)]]
-    for pos in range(len(full) - 1, -1, -1):
-        if full[pos] not in anchors:
-            value = X.face(value, pos)
-    X._eval_cache[key] = value
+    faces = tuple(t for t in reversed(range(len(full))) if full[t] not in chain)
+    return shuffle_chains(p, q).index(tuple(full)), faces, ()
+
+
+def _run(X: SimplicialSet, images: tuple[SimplexRef, ...], recipe: Recipe) -> SimplexRef:
+    index, faces, degeneracies = recipe
+    value = images[index]
+    for t in faces:
+        value = X.face(value, t)
+    for t in degeneracies:
+        value = X.degeneracy(value, t)
     return value
 
 
-def _mapped_section(
-    X: SimplicialSet,
-    sec: Section,
-    p: int,
-    q: int,
-    heights: tuple[Fraction, ...],
-    point_map,
-) -> Section:
-    images = tuple(
-        evaluate_chain(X, sec, tuple(point_map(pt) for pt in chain))
-        for chain in shuffle_chains(p, q)
+def evaluate_chain(X: SimplicialSet, sec: Section, chain: Chain) -> SimplexRef:
+    """Value of a section on an arbitrary weakly monotone grid chain."""
+    return _run(X, sec.images, _recipe(sec.p, sec.q, chain))
+
+
+@lru_cache(maxsize=None)
+def _plan(p: int, q: int, kind: str, axes: str, i: int) -> tuple[Recipe, ...]:
+    """The recipe of each maximal target chain of the i-th ``kind`` ("face"
+    or "degeneracy") of (p, q)-sections along ``axes``: "h", "v", or "hv"
+    (the diagonal face), whose vertex map moves each coordinate in ``axes``."""
+    move, step = _MOVES[kind]
+    across, up = "h" in axes, "v" in axes
+    return tuple(
+        _recipe(p, q, tuple((move(i, a) if across else a, move(i, b) if up else b)
+                            for a, b in chain))
+        for chain in shuffle_chains(p + step * across, q + step * up)
     )
-    return Section(p, q, heights, images)
+
+
+def _operate(X: SimplicialSet, sec: Section, kind: str, axes: str, i: int) -> Section:
+    """Apply a plan to a section whose index the caller has checked."""
+    move, step = _MOVES[kind]
+    p = sec.p + step * ("h" in axes)
+    heights = sec.heights
+    if "h" in axes:
+        heights = tuple(heights[move(i, a)] for a in range(p + 1))
+    images = tuple(_run(X, sec.images, r) for r in _plan(sec.p, sec.q, kind, axes, i))
+    return Section(p, sec.q + step * ("v" in axes), heights, images)
+
+
+def _top(sec: Section, direction: str) -> int:
+    """The last grid index of a section in the direction "h" or "v"."""
+    if direction not in ("h", "v"):
+        raise ValidationError(f"unknown direction {direction!r}, expected 'h' or 'v'")
+    return sec.p if direction == "h" else sec.q
 
 
 def section_face(X: SimplicialSet, sec: Section, direction: str, i: int) -> Section:
     """Face in the horizontal ("h", reindexing heights) or vertical ("v",
     along the fiber) direction."""
-    if direction == "h":
-        if sec.p == 0:
-            raise ValidationError("a section with a single height has no horizontal faces")
-        if not 0 <= i <= sec.p:
-            raise ValidationError(f"horizontal face index {i} out of range")
-        heights = sec.heights[:i] + sec.heights[i + 1 :]
-        return _mapped_section(
-            X, sec, sec.p - 1, sec.q, heights,
-            lambda pt: (delta_vertex(i, pt[0]), pt[1]),
+    top = _top(sec, direction)
+    if top == 0:
+        raise ValidationError(
+            "a section with a single height has no horizontal faces"
+            if direction == "h"
+            else "a section of vertical degree 0 has no vertical faces"
         )
-    if direction == "v":
-        if sec.q == 0:
-            raise ValidationError("a section of vertical degree 0 has no vertical faces")
-        if not 0 <= i <= sec.q:
-            raise ValidationError(f"vertical face index {i} out of range")
-        return _mapped_section(
-            X, sec, sec.p, sec.q - 1, sec.heights,
-            lambda pt: (pt[0], delta_vertex(i, pt[1])),
-        )
-    raise ValidationError(f"unknown direction {direction!r}, expected 'h' or 'v'")
+    if not 0 <= i <= top:
+        raise ValidationError(f"{_AXIS_NAMES[direction]} face index {i} out of range")
+    return _operate(X, sec, "face", direction, i)
 
 
 def section_degeneracy(
     X: SimplicialSet, sec: Section, direction: str, j: int
 ) -> Section:
-    if direction == "h":
-        if not 0 <= j <= sec.p:
-            raise ValidationError(f"horizontal degeneracy index {j} out of range")
-        heights = sec.heights[: j + 1] + sec.heights[j:]
-        return _mapped_section(
-            X, sec, sec.p + 1, sec.q, heights,
-            lambda pt: (sigma_vertex(j, pt[0]), pt[1]),
+    if not 0 <= j <= _top(sec, direction):
+        raise ValidationError(
+            f"{_AXIS_NAMES[direction]} degeneracy index {j} out of range"
         )
-    if direction == "v":
-        if not 0 <= j <= sec.q:
-            raise ValidationError(f"vertical degeneracy index {j} out of range")
-        return _mapped_section(
-            X, sec, sec.p, sec.q + 1, sec.heights,
-            lambda pt: (pt[0], sigma_vertex(j, pt[1])),
-        )
-    raise ValidationError(f"unknown direction {direction!r}, expected 'h' or 'v'")
+    return _operate(X, sec, "degeneracy", direction, j)
 
 
-def _fixed_by_move(X: SimplicialSet, sec: Section, j: int, axes: str) -> bool:
+@lru_cache(maxsize=None)
+def _steps(p: int, q: int, j: int, axes: str) -> tuple[tuple[int, ...], ...]:
+    """For each maximal chain of [p] x [q], the position at which it steps
+    from j to j + 1 along each axis of ``axes``: its last point at j."""
+    coords = ["hv".index(axis) for axis in axes]
+    return tuple(
+        tuple(sum(pt[x] <= j for pt in c) - 1 for x in coords)
+        for c in shuffle_chains(p, q)
+    )
+
+
+def _fixed_by_move(sec: Section, j: int, axes: str) -> bool:
     """Whether the section is the j-th degeneracy of its j-th face along
     ``axes``: "h", "v", or "hv" for both at once (the diagonal).
 
-    That composite acts on grid points by moving index j to j + 1 in each
-    coordinate of ``axes``, so the test is that this move fixes the
-    section's value on every maximal chain; it stops at the first
-    difference.  A horizontal degeneracy repeats height j, so other words
-    fail at once.
+    That holds exactly when, on every maximal chain c, the normal-form word
+    of c's image identifies the vertices k and k + 1 at which c steps from j
+    to j + 1 along each axis.  Sketch, for one axis: let x be the section as
+    a map of the grid into the space and e the grid map moving index j to
+    j + 1 (coface after codegeneracy); the claim is x e = x.  By the
+    Eilenberg-Zilber lemma a simplex lies in the image of s_k iff its word
+    identifies k and k + 1.  Necessity: e c repeats position k, so x(e c) =
+    s_k x(d_k e c).  Sufficiency, by induction on k: if k = 0 or c reaches k
+    along the same axis, e fixes d_k c and x(e c) = s_k d_k x(c).  Otherwise
+    c and the chain c' with the steps around k swapped differ in one square,
+    d_k c' = d_k c, and c' steps at k - 1; by induction x(e d_k c') = d_k
+    x(c'), so again x(e c) = s_k d_k x(c), which is x(c) when x(c) lies in
+    the image of s_k.  On the diagonal, x (e x e) = x iff x (e x 1) = x =
+    x (1 x e), as the codegeneracy after the coface is the identity.  A
+    horizontal degeneracy repeats height j, so other words fail at once.
     """
-    across, up = "h" in axes, "v" in axes
-    if across and sec.heights[j] != sec.heights[j + 1]:
+    if "h" in axes and sec.heights[j] != sec.heights[j + 1]:
         return False
-    for chain, image in zip(shuffle_chains(sec.p, sec.q), sec.images):
-        moved = tuple(
-            (j + 1 if across and a == j else a, j + 1 if up and b == j else b)
-            for a, b in chain
-        )
-        if evaluate_chain(X, sec, moved) != image:
-            return False
-    return True
+    return all(
+        word_vertex_position(image.word, k) == word_vertex_position(image.word, k + 1)
+        for image, steps in zip(sec.images, _steps(sec.p, sec.q, j, axes))
+        for k in steps
+    )
 
 
 def is_degenerate(X: SimplicialSet, sec: Section, direction: str) -> bool:
     """Whether the section is a degeneracy in the given direction."""
-    if direction not in ("h", "v"):
-        raise ValidationError(f"unknown direction {direction!r}, expected 'h' or 'v'")
-    top = sec.p if direction == "h" else sec.q
-    return any(_fixed_by_move(X, sec, j, direction) for j in range(top))
+    return any(_fixed_by_move(sec, j, direction) for j in range(_top(sec, direction)))
 
 
 def face_rows(
@@ -355,7 +366,7 @@ def face_rows(
     (a degenerate face)."""
     rows = []
     for sec in secs:
-        top = sec.p if direction == "h" else sec.q
+        top = _top(sec, direction)
         rows.append(
             [index.get(section_face(X, sec, direction, i)) for i in range(top + 1)]
         )
@@ -367,7 +378,7 @@ def face_rows(
 
 def _diagonal_degenerate(X: SimplicialSet, sec: Section) -> bool:
     """Degeneracy criterion for the diagonal: both directions at once."""
-    return any(_fixed_by_move(X, sec, j, "hv") for j in range(sec.p))
+    return any(_fixed_by_move(sec, j, "hv") for j in range(sec.p))
 
 
 def diagonal_chain_complex(
@@ -384,41 +395,30 @@ def diagonal_chain_complex(
     vertical i-th faces together, and only diagonally nondegenerate
     sections generate.
     """
-    levels = h.levels
-    labels: dict[int, list[str]] = {}
+    # per degree, the kept sections in order with their labels
     label_of: dict[int, dict[Section, str]] = {}
-    secs: dict[int, list[Section]] = {}
     for n in range(top + 1):
-        row: list[Section] = []
-        for word in combinations_with_replacement(levels, n + 1):
-            for sec in enumerate_sections(X, h, word, n, cap=cap):
-                if not _diagonal_degenerate(X, sec):
-                    row.append(sec)
-        counter: dict[tuple[Fraction, ...], int] = {}
-        labs: list[str] = []
-        for sec in row:
-            k = counter.get(sec.heights, 0)
-            counter[sec.heights] = k + 1
-            labs.append(f"[{word_label(sec.heights)}]#{k}")
-        secs[n] = row
-        labels[n] = labs
-        label_of[n] = dict(zip(row, labs))
+        label_of[n] = {}
+        for word in combinations_with_replacement(h.levels, n + 1):
+            secs = enumerate_sections(X, h, word, n, cap=cap)
+            kept = [sec for sec in secs if not _diagonal_degenerate(X, sec)]
+            for k, sec in enumerate(kept):
+                label_of[n][sec] = f"[{word_label(sec.heights)}]#{k}"
+    labels = {n: list(labs.values()) for n, labs in label_of.items()}
     faces: dict[int, list[list[str | None]]] = {}
     for n in range(1, top + 1):
-        rows = []
-        for sec in secs[n]:
+        faces[n] = []
+        for sec in label_of[n]:
             entry: list[str | None] = []
             for i in range(n + 1):
-                f = section_face(X, section_face(X, sec, "h", i), "v", i)
-                lab = label_of[n - 1].get(f)
-                if lab is None and not _diagonal_degenerate(X, f):
+                f = _operate(X, sec, "face", "hv", i)
+                if f not in label_of[n - 1] and not _diagonal_degenerate(X, f):
                     raise ValidationError(
                         "internal: a nondegenerate diagonal face is missing "
                         "from the enumeration"
                     )
-                entry.append(lab)
-            rows.append(entry)
-        faces[n] = rows
+                entry.append(label_of[n - 1].get(f))
+            faces[n].append(entry)
     return normalized_chains(field, labels, faces)
 
 
@@ -454,7 +454,8 @@ class SectionTruncation:
         if p + q > self.degree + 1:
             raise WindowError(
                 f"truncation too small: degree {self.degree} stores sections "
-                f"of total degree at most {self.degree + 1}, requested {p + q}",
+                f"of total degree at most {self.degree + 1}, requested {p + q} "
+                f"over {word_label(key[0])} at vertical degree {q}",
                 required_degree=p + q - 1,
             )
         return self.blocks.get(key, [])

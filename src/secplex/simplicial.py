@@ -125,8 +125,8 @@ class SimplicialSet:
 
     Generator identifiers are opaque strings from the input; internal dense
     integer ids are assigned deterministically by (dimension, input order).
-    Instances are immutable after construction (the mutable attributes are
-    memoisation caches only).
+    Instances are immutable after construction; the only mutable attributes
+    are the caches of faces and of generator vertices.
     """
 
     def __init__(
@@ -193,7 +193,6 @@ class SimplicialSet:
 
         self._face_cache: dict[tuple[SimplexRef, int], SimplexRef] = {}
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
-        self._eval_cache: dict = {}  # used by the sections module
 
     # -- basic structure ---------------------------------------------------
 

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -7,10 +9,13 @@ import pytest
 
 from secplex import (
     HeightFunction,
+    PrimeField,
     ResourceLimitError,
     Section,
     SimplicialSet,
+    ValidationError,
     build_truncation,
+    diagonal_chain_complex,
     enumerate_sections,
     evaluate_chain,
     is_degenerate,
@@ -21,7 +26,8 @@ from secplex import (
 
 
 from secplex.examples import cylinder
-from secplex.sections import _diagonal_degenerate
+from secplex.sections import _diagonal_degenerate, _fixed_by_move, _operate, _plan
+from secplex.simplicial import delta_vertex, sigma_vertex
 
 from conftest import all_chains, naive_sections
 
@@ -252,6 +258,7 @@ def test_truncation_window_error(cylinder_pair):
     with pytest.raises(WindowError) as err:
         trunc.block((Fraction(0), Fraction(1)), 2)
     assert err.value.required_degree == 2
+    assert str(err.value).endswith("requested 3 over 0,1 at vertical degree 2")
 
 
 def test_diagonal_degeneracy_matches_face_then_degeneracy(all_examples):
@@ -302,13 +309,243 @@ def test_degeneracy_matches_face_then_degeneracy(all_examples):
 
 def test_enumeration_leaves_no_reference_cycle():
     # a space must be freed by reference counting once its caller drops it,
-    # not wait for a garbage-collection pass with all its caches
+    # not wait for a garbage-collection pass with all its caches; the
+    # process-wide plan caches must not hold it either
     X, h = cylinder()
     ref = weakref.ref(X)
     gc.disable()
     try:
-        assert enumerate_sections(X, h, (0, 1), 1)
-        del X, h
+        secs = enumerate_sections(X, h, (0, 1), 1)
+        assert secs
+        for direction in ("h", "v"):
+            section_face(X, secs[0], direction, 0)
+            section_degeneracy(X, secs[0], direction, 1)
+        assert diagonal_chain_complex(X, h, PrimeField(2), top=2).dim(1) > 0
+        del X, h, secs
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_repeated_face_reuses_its_plan(cylinder_pair):
+    X, h = cylinder_pair
+    sec = enumerate_sections(X, h, (0, 1), 1)[0]
+    first = section_face(X, sec, "v", 1)
+    hits = _plan.cache_info().hits
+    assert section_face(X, sec, "v", 1) == first
+    assert _plan.cache_info().hits == hits + 1
+
+
+# -- oracle: the symbolic operators that the cached plans replaced -------------
+#
+# Copies of the recursive chain evaluation, the mapped-section faces and
+# degeneracies and the chain-by-chain degeneracy test, as they were before
+# section operators became cached integer plans.  Only the cache moved: it
+# is kept per space here instead of on the space.
+
+_oracle_caches = weakref.WeakKeyDictionary()
+
+
+def old_evaluate_chain(X, sec, chain):
+    cache = _oracle_caches.setdefault(X, {})
+    key = (sec.p, sec.q, sec.images, chain)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if not chain:
+        raise ValidationError("cannot evaluate a section on the empty chain")
+    for (i, j) in chain:
+        if not (0 <= i <= sec.p and 0 <= j <= sec.q):
+            raise ValidationError(f"chain point {(i, j)} outside the grid")
+    for k in range(len(chain) - 1):
+        (i0, j0), (i1, j1) = chain[k], chain[k + 1]
+        if i1 < i0 or j1 < j0:
+            raise ValidationError(f"chain is not monotone at position {k}")
+        if (i0, j0) == (i1, j1):
+            sub = chain[: k + 1] + chain[k + 2 :]
+            result = X.degeneracy(old_evaluate_chain(X, sec, sub), k)
+            cache[key] = result
+            return result
+
+    chain_index = {c: k for k, c in enumerate(shuffle_chains(sec.p, sec.q))}
+    index = chain_index.get(chain)
+    if index is not None:
+        result = sec.images[index]
+        cache[key] = result
+        return result
+
+    anchors = set(chain)
+    waypoints = list(chain)
+    if waypoints[0] != (0, 0):
+        waypoints.insert(0, (0, 0))
+    if waypoints[-1] != (sec.p, sec.q):
+        waypoints.append((sec.p, sec.q))
+    full = [waypoints[0]]
+    for (i0, j0), (i1, j1) in zip(waypoints, waypoints[1:]):
+        full.extend((i, j0) for i in range(i0 + 1, i1 + 1))
+        full.extend((i1, j) for j in range(j0 + 1, j1 + 1))
+    value = sec.images[chain_index[tuple(full)]]
+    for pos in range(len(full) - 1, -1, -1):
+        if full[pos] not in anchors:
+            value = X.face(value, pos)
+    cache[key] = value
+    return value
+
+
+def old_mapped_section(X, sec, p, q, heights, point_map):
+    images = tuple(
+        old_evaluate_chain(X, sec, tuple(point_map(pt) for pt in chain))
+        for chain in shuffle_chains(p, q)
+    )
+    return Section(p, q, heights, images)
+
+
+def old_section_face(X, sec, direction, i):
+    if direction == "h":
+        heights = sec.heights[:i] + sec.heights[i + 1 :]
+        return old_mapped_section(
+            X, sec, sec.p - 1, sec.q, heights,
+            lambda pt: (delta_vertex(i, pt[0]), pt[1]),
+        )
+    return old_mapped_section(
+        X, sec, sec.p, sec.q - 1, sec.heights,
+        lambda pt: (pt[0], delta_vertex(i, pt[1])),
+    )
+
+
+def old_section_degeneracy(X, sec, direction, j):
+    if direction == "h":
+        heights = sec.heights[: j + 1] + sec.heights[j:]
+        return old_mapped_section(
+            X, sec, sec.p + 1, sec.q, heights,
+            lambda pt: (sigma_vertex(j, pt[0]), pt[1]),
+        )
+    return old_mapped_section(
+        X, sec, sec.p, sec.q + 1, sec.heights,
+        lambda pt: (pt[0], sigma_vertex(j, pt[1])),
+    )
+
+
+def old_fixed_by_move(X, sec, j, axes):
+    across, up = "h" in axes, "v" in axes
+    if across and sec.heights[j] != sec.heights[j + 1]:
+        return False
+    for chain, image in zip(shuffle_chains(sec.p, sec.q), sec.images):
+        moved = tuple(
+            (j + 1 if across and a == j else a, j + 1 if up and b == j else b)
+            for a, b in chain
+        )
+        if old_evaluate_chain(X, sec, moved) != image:
+            return False
+    return True
+
+
+def old_is_degenerate(X, sec, direction):
+    top = sec.p if direction == "h" else sec.q
+    return any(old_fixed_by_move(X, sec, j, direction) for j in range(top))
+
+
+def old_diagonal_degenerate(X, sec):
+    return any(old_fixed_by_move(X, sec, j, "hv") for j in range(sec.p))
+
+
+def _oracle_spaces():
+    """The examples and seeded random gluings, strict and subdivided (the
+    subdivided ones include flat triangles)."""
+    from secplex.examples import random_gluing, sphere, sphere_subdivided
+
+    pairs = [sphere(), sphere_subdivided(), cylinder()]
+    rng = random.Random(2718)
+    for k in range(6):
+        pairs.append(random_gluing(rng, max_triangles=3, subdivided=k % 2 == 1))
+    return pairs
+
+
+def _all_sections(X, h, max_total):
+    for total in range(max_total + 1):
+        for p in range(total + 1):
+            for word in weakly_increasing_words(h.levels, p + 1):
+                yield from enumerate_sections(X, h, word, total - p)
+
+
+def _derived_chains(chain):
+    """Strict and weak chains built from one maximal chain: every nonempty
+    subchain, each with one point repeated, and each with its first point
+    tripled and its last point doubled."""
+    out = []
+    for size in range(1, len(chain) + 1):
+        for sub in itertools.combinations(chain, size):
+            out.append(sub)
+            out.extend(sub[: u + 1] + sub[u:] for u in range(size))
+            out.append(sub[:1] * 2 + sub + sub[-1:])
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    return [(X, list(_all_sections(X, h, 4))) for X, h in _oracle_spaces()]
+
+
+def test_plans_match_symbolic_faces_and_degeneracies(oracle_cases):
+    for X, secs in oracle_cases:
+        for sec in secs:
+            for direction, top in (("h", sec.p), ("v", sec.q)):
+                for i in range(top + 1):
+                    if top:
+                        assert section_face(X, sec, direction, i) == old_section_face(
+                            X, sec, direction, i
+                        ), (X.name, sec, direction, i)
+                    assert section_degeneracy(
+                        X, sec, direction, i
+                    ) == old_section_degeneracy(X, sec, direction, i)
+
+
+def test_plans_match_symbolic_diagonal_faces(oracle_cases):
+    for X, secs in oracle_cases:
+        for sec in secs:
+            if sec.p == sec.q > 0:
+                for i in range(sec.p + 1):
+                    nested = old_section_face(X, old_section_face(X, sec, "h", i), "v", i)
+                    assert _operate(X, sec, "face", "hv", i) == nested
+
+
+def test_word_test_matches_chain_test(oracle_cases):
+    seen = {"h": set(), "v": set(), "hv": set()}
+    for X, secs in oracle_cases:
+        for sec in secs:
+            diagonal = sec.p if sec.p == sec.q else 0
+            for axes, top in (("h", sec.p), ("v", sec.q), ("hv", diagonal)):
+                for j in range(top):
+                    expected = old_fixed_by_move(X, sec, j, axes)
+                    assert _fixed_by_move(sec, j, axes) == expected, (X.name, sec, j)
+                    seen[axes].add(expected)
+            for direction in ("h", "v"):
+                assert is_degenerate(X, sec, direction) == old_is_degenerate(
+                    X, sec, direction
+                )
+            if sec.p == sec.q:
+                assert _diagonal_degenerate(X, sec) == old_diagonal_degenerate(X, sec)
+    assert all(outcomes == {True, False} for outcomes in seen.values())
+
+
+def test_recipes_match_symbolic_chain_evaluation(oracle_cases):
+    for X, secs in oracle_cases:
+        for sec in secs:
+            if sec.p + sec.q > 3:
+                continue
+            for chain in shuffle_chains(sec.p, sec.q):
+                for weak in _derived_chains(chain):
+                    assert evaluate_chain(X, sec, weak) == old_evaluate_chain(
+                        X, sec, weak
+                    ), (X.name, sec, weak)
+
+
+def test_recipes_raise_as_symbolic_evaluation(square_pair):
+    X, h = square_pair
+    sec = enumerate_sections(X, h, (0, 1), 1)[0]
+    bad = [(), ((0, 0), (2, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 0), (1, 0), (0, 1))]
+    for chain in bad:
+        with pytest.raises(ValidationError) as want:
+            old_evaluate_chain(X, sec, chain)
+        with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+            evaluate_chain(X, sec, chain)

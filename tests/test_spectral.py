@@ -15,6 +15,8 @@ from secplex import (
 )
 from secplex.examples import random_gluing
 
+from conftest import unnormalized_betti
+
 
 @pytest.fixture(scope="module")
 def cylinder_dc(cylinder_pair):
@@ -139,3 +141,18 @@ def test_infinity_sums_match_homology(subdivided_pair, gf2):
     assert sums == [1, 0, 1]
     # subdivided: collapse one page earlier (second page equals third)
     assert ss.page(2).dims == ss.page(3).dims
+
+
+def test_convergence_at_the_default_window_on_flat_gluings(gf3):
+    # subdivided gluings, flat triangles among them, at the default window
+    # over GF(3); the base's Betti numbers come from the chain complex of
+    # all simplices, degenerate ones included
+    rng = random.Random(10)
+    loops = 0
+    for _ in range(8):
+        X, h = random_gluing(rng, max_triangles=3, subdivided=True)
+        report = convergence_check(X, h, gf3, degree=2)
+        assert report.ok, (X.name, report.lines())
+        assert report.direct == unnormalized_betti(X, gf3, 2)
+        loops += report.direct[1] > 0
+    assert loops  # some gluing closes a loop
