@@ -39,9 +39,20 @@ COMMANDS = {
     "ss-page1-json-gf32003": ["ss", "--page", "1", "--json", "--field", "32003"],
     "ss-page2-gf32003": ["ss", "--page", "2", "--field", "32003"],
     "homology-gf32003": ["homology", "--field", "32003"],
+    "barcode-json-gf3": ["barcode", "--format", "json", "--field", "3"],
+    "reeb-q1-gf3": ["reeb", "--q", "1", "--field", "3"],
 }
 CASES = [f"{doc}.{name}" for doc in BUNDLED for name in COMMANDS]
-CASES += ["tube8x3.ss-page1-json", "tube8x3.ss-page1-json-gf32003"]
+CASES += [
+    f"tube8x3.{name}"
+    for name in (
+        "ss-page1-json",
+        "ss-page1-json-gf32003",
+        "barcode-json",
+        "reeb-q0",
+        "diag-check",
+    )
+]
 
 
 def run(case: str) -> tuple[int, bytes]:
