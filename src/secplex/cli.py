@@ -315,11 +315,12 @@ def cmd_ss(args) -> int:
         print("all entries in the window vanish")
     for p, q, d in nonzero:
         print(f"  ({p},{q}) = {d}")
-    for (p, q), M in sorted(page.differentials.items()):
-        if M.size and field.rank(M):
+    for p, q in sorted(page.differentials):
+        rank = page.differential_rank(p, q)
+        if rank:
             print(
                 f"  differential ({p},{q}) -> ({p - args.page},{q + args.page - 1}): "
-                f"rank {field.rank(M)}"
+                f"rank {rank}"
             )
     return 0
 

@@ -37,7 +37,8 @@ class HeightFunction:
     monotonicity is the job of :func:`validate_height`.
     """
 
-    __slots__ = ("space", "_by_gid", "_levels", "_widest", "_buckets")
+    __slots__ = ("space", "_by_gid", "_levels", "_index", "_level_of", "_widest",
+                 "_buckets")
 
     def __init__(self, space: SimplicialSet, values: Mapping[str, object]):
         self.space = space
@@ -52,10 +53,12 @@ class HeightFunction:
         if missing:
             raise HeightError(f"vertices without a height: {missing}")
         self._by_gid: tuple[Fraction, ...] = tuple(by_gid)  # type: ignore[arg-type]
-        self._levels: list[Fraction] | None = None
+        self._levels = sorted(set(self._by_gid))
+        self._index = {a: i for i, a in enumerate(self._levels)}
+        self._level_of = tuple(self._index[a] for a in self._by_gid)
         self._widest: tuple[int, str | None] | None = None
-        # n -> {vertex-height tuple: sorted n-simplices}, filled by sections
-        self._buckets: dict[int, dict[tuple[Fraction, ...], list[SimplexRef]]] = {}
+        # n -> {vertex level-index tuple: sorted n-simplices}, filled by sections
+        self._buckets: dict[int, dict[tuple[int, ...], list[SimplexRef]]] = {}
 
     def of(self, gid: int) -> Fraction:
         return self._by_gid[gid]
@@ -69,12 +72,15 @@ class HeightFunction:
     @property
     def levels(self) -> list[Fraction]:
         """Sorted distinct heights actually taken by vertices."""
-        if self._levels is None:
-            self._levels = sorted(set(self._by_gid))
         return self._levels
 
     def level_index(self) -> dict[Fraction, int]:
-        return {a: i for i, a in enumerate(self.levels)}
+        """Position of each level in :attr:`levels`; shared, do not mutate."""
+        return self._index
+
+    def vertex_levels(self, ref: SimplexRef) -> tuple[int, ...]:
+        """Level indices of the simplex's vertices, in order."""
+        return tuple(self._level_of[v] for v in self.space.vertices(ref))
 
 
 def validate_height(h: HeightFunction) -> list[Fraction]:

@@ -2,14 +2,18 @@
 
 Matrices are numpy int64 arrays whose entries are reduced modulo the prime.
 With the prime capped below 2**31 every pivoting step stays below 2**62, so
-all arithmetic is exact in int64.  Pivoting is deterministic (first nonzero
-entry, scanning rows top to bottom), which keeps every downstream basis and
-report byte-stable.  Elimination touches only the rows with a nonzero in the
-pivot column, and only from that column on, so its cost follows the
-nonzeros of the sparse boundary matrices rather than their full size.
+all arithmetic is exact in int64.  Over an odd prime, elimination touches
+only the rows with a nonzero in the pivot column, and only from that column
+on, so its cost follows the nonzeros of the sparse boundary matrices rather
+than their full size.  Over GF(2) each row is packed into one Python int
+(bit c is column c) and rows are reduced by XOR.  The reduced row echelon
+form is unique, so both paths return the same ``R`` and pivots as any exact
+elimination would, and every downstream basis and report stays byte-stable.
 
 The chain-complex layer keeps its differentials as *integer* matrices so
-signs survive for display, and reduces mod p only when computing.
+signs survive for display, and reduces mod p only when computing; it
+eliminates each differential once and reads kernels, ranks and Betti
+numbers off that one elimination.
 """
 
 from __future__ import annotations
@@ -40,6 +44,45 @@ def balanced_lift(M: np.ndarray, p: int) -> np.ndarray:
     """Lift residues to the integer interval (-p/2, p/2] for display."""
     M = np.asarray(M, dtype=np.int64) % p
     return np.where(M > p // 2, M - p, M)
+
+
+def _rref_gf2(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """:meth:`PrimeField.rref` over GF(2), each row packed into an int
+    (bit c is column c).  Rows enter a basis keyed on their lowest set bit;
+    then each basis row clears its other pivot bits, highest pivot first."""
+    rows, cols = M.shape
+    nb = (cols + 7) // 8
+    buf = np.packbits(M & 1, axis=1, bitorder="little").tobytes()
+    basis: dict[int, int] = {}
+    for i in range(rows):
+        x = int.from_bytes(buf[i * nb : (i + 1) * nb], "little")
+        while x and (low := x & -x) in basis:
+            x ^= basis[low]
+        if x:
+            basis[x & -x] = x
+    lows = sorted(basis)
+    mask = sum(lows)
+    for low in reversed(lows):
+        hits = (basis[low] & mask) ^ low
+        while hits:
+            bit = hits & -hits
+            basis[low] ^= basis[bit]
+            hits ^= bit
+    packed = b"".join(basis[low].to_bytes(nb, "little") for low in lows)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(lows), nb)
+    R = np.zeros((rows, cols), dtype=np.int64)
+    R[: len(lows)] = np.unpackbits(bits, axis=1, count=cols, bitorder="little")
+    return R, [low.bit_length() - 1 for low in lows]
+
+
+def _null_space(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Columns spanning the null space, read off an existing ``rref``."""
+    pivot_set = set(pivots)
+    free = [c for c in range(R.shape[1]) if c not in pivot_set]
+    K = np.zeros((R.shape[1], len(free)), dtype=np.int64)
+    K[free, np.arange(len(free))] = 1
+    K[pivots] = -R[: len(pivots), free] % p
+    return K
 
 
 class PrimeField:
@@ -73,9 +116,12 @@ class PrimeField:
         The pivot of column c is its first nonzero at or below the next
         pivot row.  Only the rows with a nonzero in column c are eliminated,
         and only from column c on: every row at or below the pivot row is
-        zero to the left of c.
+        zero to the left of c.  GF(2) takes the packed path of
+        :func:`_rref_gf2`, which returns the same form.
         """
         p = self.p
+        if p == 2:
+            return _rref_gf2(np.asarray(M, dtype=np.int64))
         R = self.reduce(M)
         rows, cols = R.shape
         pivots: list[int] = []
@@ -105,13 +151,7 @@ class PrimeField:
 
     def kernel(self, M) -> np.ndarray:
         """Matrix whose columns are a basis of the null space."""
-        R, pivots = self.rref(M)
-        pivot_set = set(pivots)
-        free = [c for c in range(R.shape[1]) if c not in pivot_set]
-        K = np.zeros((R.shape[1], len(free)), dtype=np.int64)
-        K[free, np.arange(len(free))] = 1
-        K[pivots] = -R[: len(pivots), free] % self.p
-        return K
+        return _null_space(*self.rref(M), self.p)
 
     def image(self, M) -> np.ndarray:
         """The pivot columns of M itself: a basis of the column span."""
@@ -216,6 +256,8 @@ class ChainComplex:
                 if np.any(field.matmul(prev, M)):
                     raise LinAlgError(f"differentials do not square to zero at {n}")
         self._homology: dict[int, HomologyEntry] = {}
+        # n -> rref of d_n, each differential eliminated once
+        self._rref: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     def dim(self, n: int) -> int:
         return len(self.labels.get(n, []))
@@ -230,15 +272,24 @@ class ChainComplex:
             return np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
         return M
 
+    def _eliminated(self, n: int) -> tuple[np.ndarray, list[int]]:
+        hit = self._rref.get(n)
+        if hit is None:
+            hit = self._rref[n] = self.field.rref(self.differential(n))
+        return hit
+
     def homology(self, n: int) -> HomologyEntry:
+        """Cycles mod the pivot columns of d_(n+1), which have the span and
+        column rank profile of all of d_(n+1), hence its representatives."""
         hit = self._homology.get(n)
         if hit is not None:
             return hit
         if self.dim(n) == 0:
             entry = HomologyEntry(n, 0, np.zeros((0, 0), dtype=np.int64), None)
         else:
-            cycles = self.field.kernel(self.differential(n))
-            boundaries = self.field.reduce(self.differential(n + 1))
+            cycles = _null_space(*self._eliminated(n), self.field.p)
+            _, pivots = self._eliminated(n + 1)
+            boundaries = self.field.reduce(self.differential(n + 1)[:, pivots])
             classes = Subquotient(self.field, cycles, boundaries)
             entry = HomologyEntry(
                 n, classes.dimension, classes.representatives, classes
@@ -247,7 +298,15 @@ class ChainComplex:
         return entry
 
     def betti(self, n: int) -> int:
-        return self.homology(n).dimension
+        """dim(n) - rank d_n - rank d_(n+1); boundaries lie in the cycles
+        because the differentials square to zero."""
+        hit = self._homology.get(n)
+        if hit is not None:
+            return hit.dimension
+        if self.dim(n) == 0:
+            return 0
+        ranks = len(self._eliminated(n)[1]) + len(self._eliminated(n + 1)[1])
+        return self.dim(n) - ranks
 
     def betti_numbers(self, top: int) -> list[int]:
         return [self.betti(n) for n in range(top + 1)]

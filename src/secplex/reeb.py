@@ -373,16 +373,21 @@ def barcode_diagram(
             required_degree=max_q + 1,
         )
     levels = trunc.height.levels
+    # degree-q homology and its induced maps read only d_q and d_(q+1), so
+    # one complex through max_q + 1 per word serves every q
     single = {a: vertical_complex(trunc, field, (a,), max_q + 1) for a in levels}
+    pairs = {
+        w: vertical_complex(trunc, field, w, max_q + 1)
+        for w in combinations(levels, 2)
+    }
     nodes: list[BarcodeNode] = []
     segments: list[BarcodeSegment] = []
     for q in range(max_q + 1):
         for a in levels:
             for k in range(single[a].betti(q)):
                 nodes.append(BarcodeNode(q, a, k))
-        for a, b in combinations(levels, 2):
-            w = (a, b)
-            cx = vertical_complex(trunc, field, w, q + 1)
+        for w, cx in pairs.items():
+            a, b = w
             if cx.betti(q) == 0:
                 continue
             maps_tail = {

@@ -108,14 +108,14 @@ class Section:
 
 def _height_buckets(
     h: HeightFunction, n: int
-) -> dict[tuple[Fraction, ...], list[SimplexRef]]:
-    """The n-simplices grouped by vertex-height tuple, each group sorted;
-    built once per height function and dimension."""
+) -> dict[tuple[int, ...], list[SimplexRef]]:
+    """The n-simplices grouped by the level indices of their vertices, each
+    group sorted; built once per height function and dimension."""
     buckets = h._buckets.get(n)
     if buckets is None:
         buckets = {}
         for ref in h.space.simplices(n):
-            buckets.setdefault(h.vertex_heights(ref), []).append(ref)
+            buckets.setdefault(h.vertex_levels(ref), []).append(ref)
         for refs in buckets.values():
             refs.sort()
         h._buckets[n] = buckets
@@ -146,11 +146,14 @@ def enumerate_sections(
         raise ValidationError("the vertical degree must be nonnegative")
     p = len(heights) - 1
     n = p + q
+    index = h.level_index()
+    # a height that is no level gets index -1, whose buckets are all missing
+    word = tuple(index.get(a, -1) for a in heights)
     chains = shuffle_chains(p, q)
     all_buckets = _height_buckets(h, n)
     buckets: list[list[SimplexRef]] = []
     for c in chains:
-        refs = all_buckets.get(tuple(heights[i] for (i, _) in c))
+        refs = all_buckets.get(tuple(word[i] for (i, _) in c))
         if refs is None:
             return []
         buckets.append(refs)

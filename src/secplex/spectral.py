@@ -212,6 +212,8 @@ class SpectralSequence:
             for n in range(dc.window + 2)
         }
         self._pages: dict[int, Page] = {}
+        self._a_kernels: dict[tuple[int, int, int], np.ndarray] = {}
+        self._narrow = np.min_scalar_type(field.p - 1)
 
     def _filtration_dim(self, n: int, p: int) -> int:
         if n < 0 or p < 0:
@@ -219,17 +221,21 @@ class SpectralSequence:
         return sum(self.dc.dim(i, n - i) for i in range(min(p, n) + 1))
 
     def _a_space(self, r: int, p: int, n: int) -> np.ndarray:
-        """Column span of A[r, p] inside total degree n."""
+        """Column span of A[r, p] inside total degree n.  For r >= 1 its
+        first F_p rows (the rest are zero) are computed once and kept in the
+        narrowest unsigned dtype that holds their entries, all below p."""
         tdim = self.dc.total_dim(n) if n >= 0 else 0
         if n < 0 or p < 0:
             return np.zeros((tdim, 0), dtype=np.int64)
         fp = self._filtration_dim(n, p)
-        prefix = np.eye(tdim, dtype=np.int64)[:, :fp]
-        if r <= 0 or fp == 0:
-            return prefix
-        cut = self._filtration_dim(n - 1, p - r)
-        rows = self._D[n][cut:, :fp] if n >= 1 else np.zeros((0, fp), dtype=np.int64)
-        K = self.field.kernel(rows)
+        if r <= 0 or n == 0 or fp == 0:
+            K = np.eye(fp, dtype=np.int64)
+        else:
+            K = self._a_kernels.get((r, p, n))
+            if K is None:
+                cut = self._filtration_dim(n - 1, p - r)
+                K = self.field.kernel(self._D[n][cut:, :fp])
+                self._a_kernels[(r, p, n)] = K.astype(self._narrow)
         out = np.zeros((tdim, K.shape[1]), dtype=np.int64)
         out[:fp] = K
         return out

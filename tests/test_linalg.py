@@ -307,3 +307,25 @@ def test_coords_of_a_matrix_are_its_column_coords(pm, data):
     assert got.shape == (Q.dimension, Z.shape[1])
     for j in range(Z.shape[1]):
         assert np.array_equal(got[:, j], Q.coords(Z[:, j]))
+
+
+# -- wide GF(2) matrices: the packed elimination against the dense oracle ----
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 130, 417])
+@pytest.mark.parametrize("rows", [0, 1, 5, 182])
+def test_gf2_rref_matches_dense_elimination_on_wide_matrices(rows, cols):
+    F = PrimeField(2)
+    rng = np.random.default_rng(1000 * rows + cols)
+    values = rng.integers(-6, 7, size=(rows, cols))
+    sparse = values * (rng.random((rows, cols)) < 0.03)
+    for M in (sparse, values):
+        for view in (M, M[:, ::2], M[3:, :]):
+            before = view.copy()
+            R, pivots = F.rref(view)
+            R0, pivots0 = dense_rref(2, view)
+            assert pivots == pivots0
+            assert R.dtype == np.int64 and R.flags.writeable
+            assert R.flags.owndata and np.array_equal(R, R0)
+            assert np.array_equal(view, before)
+            assert np.array_equal(F.kernel(view), dense_kernel(2, view))

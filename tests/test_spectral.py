@@ -14,6 +14,7 @@ from secplex import (
     SpectralSequence,
 )
 from secplex.examples import random_gluing
+from secplex.linalg import normalized_chains
 
 from conftest import unnormalized_betti
 
@@ -156,3 +157,54 @@ def test_convergence_at_the_default_window_on_flat_gluings(gf3):
         assert report.direct == unnormalized_betti(X, gf3, 2)
         loops += report.direct[1] > 0
     assert loops  # some gluing closes a loop
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_betti_from_ranks_matches_homology(p):
+    # on normalized chains and total complexes of seeded gluings, with the
+    # Betti number asked before and after the homology of each degree
+    F = PrimeField(p)
+    rng = random.Random(77)
+    for k in range(4):
+        X, h = random_gluing(rng, max_triangles=3, subdivided=k % 2 == 1)
+        labels, faces = X.chain_data(3)
+        dc = double_complex(build_truncation(X, h, degree=2))
+        for build in (
+            lambda: normalized_chains(F, labels, faces),
+            lambda: total_complex(dc, F),
+        ):
+            first, second = build(), build()
+            top = first.top_degree
+            betti = [first.betti(n) for n in range(top + 1)]
+            assert betti == [first.homology(n).dimension for n in range(top + 1)]
+            dims = [second.homology(n).dimension for n in range(top + 1)]
+            assert dims == betti == [second.betti(n) for n in range(top + 1)]
+
+
+def test_convergence_check_computes_each_a_space_once(monkeypatch, cylinder_pair, gf2):
+    kernel_calls = []
+    kernel, page = PrimeField.kernel, SpectralSequence.page
+
+    def counting_kernel(self, M):
+        kernel_calls.append(M.shape)
+        return kernel(self, M)
+
+    pages = {}
+
+    def counting_page(self, r):
+        before = len(kernel_calls)
+        out = page(self, r)
+        pages[r] = (self, len(kernel_calls) - before, set(self._a_kernels))
+        return out
+
+    monkeypatch.setattr(PrimeField, "kernel", counting_kernel)
+    monkeypatch.setattr(SpectralSequence, "page", counting_page)
+    X, h = cylinder_pair
+    assert convergence_check(X, h, gf2, degree=2).ok
+    (r1, (ss, first, known)), (r2, (ss2, second, _)) = sorted(pages.items())
+    assert ss is ss2 and r2 == r1 + 1
+    # every kernel computed is a distinct A-space, and the second page
+    # computes only those the first did not, reusing its A[r1, .]
+    assert len(kernel_calls) == first + second == len(ss._a_kernels) > 0
+    assert second == len(set(ss._a_kernels) - known)
+    assert any(r == r1 for (r, _, _) in known)
