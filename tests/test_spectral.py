@@ -9,12 +9,12 @@ from secplex import (
     build_truncation,
     convergence_check,
     double_complex,
+    normalized_chains,
     reeb_consistency,
     total_complex,
     SpectralSequence,
 )
 from secplex.examples import random_gluing
-from secplex.linalg import normalized_chains
 
 from conftest import unnormalized_betti
 
